@@ -354,11 +354,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         )
     if getattr(args, "snippet", False):
         # reference result shape: snippet per hit, query terms highlighted;
-        # needs text — hydrate implicitly when the mode didn't already
+        # needs text — hydrate implicitly when the mode didn't already, and
+        # keep the text only when --hydrate asked for it
         if "text" not in out.columns and len(out):
             out = engine._hydrate(out)
         out = engine.attach_snippets(out, args.q or "", highlight=True)
-        if "text" in out.columns:
+        if not hydrate and "text" in out.columns:
             out = out.drop(columns=["text"])
     print(out.to_string(index=False))
     engine.close()

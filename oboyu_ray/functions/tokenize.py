@@ -17,8 +17,12 @@ The conformance target is the reference's live BM25 indexing path
   sandbox fugashi is absent so the fallback is selected, keeping oracle
   comparisons apples-to-apples.
 * Selection logic mirrors ``TokenizerService._create_tokenizer``
-  (tokenizer.py:327-359) with the reference defaults used by ``BM25Indexer``
-  (bm25_indexer.py:36,64): ``min_token_length=2, use_stopwords=False``.
+  (tokenizer.py:327-359).  The conformance default is
+  ``min_token_length=2, use_stopwords=True``: ``BM25Indexer``'s own
+  ``use_stopwords=False`` (bm25_indexer.py:36) is never used by its index
+  or query paths, which tokenize through ``TokenizerService`` and its
+  ``use_stopwords=True`` default (tokenizer.py:333,337-338; see
+  ``oboyu_ray/config.py``).
 
 Everything here is pure-Python/stdlib and deterministic so it can run inside
 Ray Data ``map_batches`` workers with zero per-batch setup cost (the compiled
@@ -55,8 +59,8 @@ TOKEN_PATTERN_SQL = (
 # Japanese stop-word set — behavioral data constant required for parity with
 # the reference's stop-word filtering (common/stop_words.py:4-103; 103
 # entries: particles, auxiliary verbs, pronouns, common nouns, EN function
-# words, high-frequency verbs).  Note that the conformance-default indexing
-# configuration does NOT use it (use_stopwords=False, bm25_indexer.py:36).
+# words, high-frequency verbs).  The conformance-default configuration
+# filters it on both the index and the query side (use_stopwords=True).
 DEFAULT_JAPANESE_STOP_WORDS: frozenset = frozenset(
     "は が を に で と も や の へ から まで より ね よ "
     "です ます だ である でした ました でしょう ましょう "

@@ -1853,12 +1853,17 @@ def boosted_topk(
     n, avgdl = int(stats["N"]), float(stats["avgdl"])
     weights = _query_weights(tokq, df_map, n) if n else {}
     # scale each term weight by its boost AFTER multiplicity folding —
-    # boost applies per clause, multiplicity already multiplied the idf
+    # boost applies per clause, multiplicity already multiplied the idf.
+    # Only a boost of 0 removes a clause: an idf-0 term (df == N/2) keeps
+    # its docs as candidates, as in the plain scorer.
     weights = {
-        qid: {t: wv * float(boosts.get(t, 1.0)) for t, wv in w.items()}
+        qid: {
+            t: wv * float(boosts.get(t, 1.0))
+            for t, wv in w.items()
+            if float(boosts.get(t, 1.0)) != 0.0
+        }
         for qid, w in weights.items()
     }
-    weights = {qid: {t: wv for t, wv in w.items() if wv != 0.0} for qid, w in weights.items()}
     weights = {qid: w for qid, w in weights.items() if w}
 
     def combine(ids: np.ndarray, contrib: np.ndarray) -> pd.DataFrame:

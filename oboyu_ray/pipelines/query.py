@@ -29,7 +29,7 @@ import ray
 from oboyu_ray.config import BM25Config
 from oboyu_ray.stages.postings import get_tokenizer
 from oboyu_ray.stages.stats import idf
-from oboyu_ray.state.shards import IndexShard, _merge_topk, _merge_topk_multi
+from oboyu_ray.state.shards import IndexShard, _merge_topk_multi
 
 VOCAB_INMEM_LIMIT = 5_000_000
 
@@ -432,6 +432,19 @@ class ConvResolver:
 MERGE_FANOUT = 64
 
 
+def _no_hits() -> Tuple[np.ndarray, np.ndarray]:
+    """The empty merged top-k."""
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+
+
+def _topk_frame(top: Tuple[np.ndarray, np.ndarray]) -> pd.DataFrame:
+    """The unresolved result frame of a merged top-k: (doc_num, score) in
+    rank order.  The merge hands over fresh arrays, so the frame takes them
+    without a copy."""
+    docs, scores = top
+    return pd.DataFrame({"doc_num": docs, "score": scores}, copy=False)
+
+
 def _read_doc_texts_local(path: str, wanted: list):
     """One part's hydration point-read: (doc_nums, texts) for the wanted
     ids — row-group predicate pushdown keeps it metadata-scale."""
@@ -457,7 +470,7 @@ class MergeAggregator:
     def __init__(self, shard_actors: List) -> None:
         self.shards = shard_actors
 
-    def query(self, term_weights: Dict[str, float], k: int, theta0: float = None,
+    def query(self, term_weights: Dict[str, float], k: int,
               exclude_terms: Sequence[str] = (), scope=None):
         import ray as _ray
 
@@ -815,27 +828,34 @@ class QueryEngine:
         — scoped retrieval (search inside a conversation range: doc numbers
         are contiguous per conversation by construction).  Statistics stay
         full-corpus; shards skip disjoint parts/windows outright."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
+        return _topk_frame(self._search_topk(
+            terms, k, require_all=require_all, exclude=exclude, scope=scope
+        ))
+
+    def _search_topk(
+        self, terms: List[str], k: int, require_all: bool = False,
+        exclude: Optional[List[str]] = None,
+        scope: "Optional[Tuple[int, int]]" = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The merged (doc_nums, scores) top-k behind ``search_terms``."""
         weights = self.term_weights(terms)
         if not weights:
-            return empty
+            return _no_hits()
         if scope is not None:
             scope = (int(scope[0]), int(scope[1]))
             if scope[0] >= scope[1]:
-                return empty
+                return _no_hits()
         # boolean NOT: only excluded terms that exist in the vocabulary can
         # exclude anything (df=0 terms are no-ops, dropped here so shards
         # skip the slice lookup)
         excl = sorted(
-            t for t, d in self.vocab.df(sorted(set(exclude or []))).items() if d > 0
-        )
+            t for t, d in self.vocab.df(sorted(set(exclude))).items() if d > 0
+        ) if exclude else []
         if require_all:
             # strict AND: a corpus-absent distinct term is unmatchable —
             # term_weights drops df=0 terms, so compare against the asked set
             if len(weights) < len(set(terms)):
-                return empty
+                return _no_hits()
             results = self._fanout(
                 lambda ts: [
                     a.query_all.remote(weights, k, exclude_terms=excl, scope=scope)
@@ -849,8 +869,7 @@ class QueryEngine:
                     for a in ts
                 ]
             )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        return pd.DataFrame({"doc_num": top_docs, "score": top_scores})
+        return _merge_topk_multi(results, k)
 
     def search_prefix(
         self, prefix: str, k: int = 10, max_terms: int = 1000,
@@ -862,9 +881,6 @@ class QueryEngine:
         query over the expanded term set (idf per matched term,
         multiplicity 1) — Lucene's PrefixQuery → BooleanQuery rewrite.
         Unknown prefix → empty frame.  ``scope`` composes like search()."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         # engine-level expansion cache: the expansion and its weights are a
         # pure function of (prefix, index) — repeated prefixes skip the
         # vocabulary walk AND the object-store put.  The max_terms cap is
@@ -890,7 +906,7 @@ class QueryEngine:
                 "narrow the prefix or raise max_terms"
             )
         if not weights:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         # term-RANGE fan-out: the blocks layout is term-sorted, so shards
         # answer the prefix as one contiguous decode per part
         # (query_term_range) instead of per-term work over the expansion;
@@ -903,11 +919,7 @@ class QueryEngine:
                 for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def search_fuzzy(
         self, term: str, max_edits: int = 1, k: int = 10, max_terms: int = 1000,
@@ -932,19 +944,12 @@ class QueryEngine:
         """OR query over a pre-expanded term→weight map (the shared tail of
         every multi-term rewrite: fuzzy / regex / wildcard).  ≥64 matched
         terms take the shards' wide-OR dense path automatically."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         if not weights:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         results = self._fanout(
             lambda ts: [a.query.remote(weights, k, scope=scope) for a in ts]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def search_regex(
         self, pattern: str, k: int = 10, max_terms: int = 1000,
@@ -1032,13 +1037,10 @@ class QueryEngine:
         selection to ``mlt_topk``), then run the ordinary signed-idf OR
         query over the selected set with the source document dropped from
         the merged result.  Unknown doc_num → empty frame."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         src = self._hydrate(pd.DataFrame({"doc_num": [int(doc_num)]}))
         text = src["text"].iloc[0] if len(src) else None
         if not text:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         from collections import Counter
 
         from oboyu_ray.fixedpoint import micros
@@ -1058,7 +1060,7 @@ class QueryEngine:
         cands.sort()
         weights = {t: w for _, t, w in cands[:n_terms]}
         if not weights:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         # k+1 then drop the source doc — it may rank anywhere in its own
         # neighborhood (typically first)
         results = self._fanout(
@@ -1066,12 +1068,9 @@ class QueryEngine:
         )
         top_docs, top_scores = _merge_topk_multi(results, k + 1)
         keep = top_docs != int(doc_num)
-        out = pd.DataFrame(
-            {"doc_num": top_docs[keep][:k], "score": top_scores[keep][:k]}
+        return self._result(
+            (top_docs[keep][:k], top_scores[keep][:k]), hydrate, resolve
         )
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
 
     def search_bool(
         self, query: str, k: int = 10,
@@ -1086,9 +1085,6 @@ class QueryEngine:
         boolean grammar names index terms directly; no tokenizer pass)."""
         from oboyu_ray.pipelines.bm25_batch import bool_leaves, parse_bool_query
 
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         tree = parse_bool_query(query) if isinstance(query, str) else query
         pos_terms, _ = bool_leaves(tree)
         dfs = self.vocab.df(sorted(pos_terms))
@@ -1097,16 +1093,12 @@ class QueryEngine:
             t: idf(int(dfs.get(t, 0)), n) for t in sorted(pos_terms)
         }
         if not any(int(dfs.get(t, 0)) > 0 for t in pos_terms):
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         results = self._fanout(
             lambda ts: [a.query_bool.remote(tree, weights, k, scope=scope)
                         for a in ts]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def search_synonym(
         self, query: str, synonyms: Dict[str, "Sequence[str]"],
@@ -1121,9 +1113,6 @@ class QueryEngine:
         one-directional map form {term: [synonyms...]}."""
         from oboyu_ray.pipelines.bm25_batch import synonym_groups
 
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         terms = self.tokenizer.tokenize(query)
         gs = synonym_groups(terms, synonyms)
         all_terms = sorted({t for g in gs for t in g})
@@ -1137,7 +1126,7 @@ class QueryEngine:
             key = tuple(g)
             w[key] = w.get(key, 0.0) + idf(df_max, n)
         if not w:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         groups = [list(g) for g in w]
         weights = [w[g] for g in w]
         results = self._fanout(
@@ -1146,11 +1135,7 @@ class QueryEngine:
                 for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def search_collapse(
         self, query: str, k: int = 10, per_conv: int = 1,
@@ -1178,21 +1163,20 @@ class QueryEngine:
         is only provably complete at exhaustion).  Depth stays
         driver-side only — shards always run top-d heaps, never full
         materialization."""
-        empty = pd.DataFrame(
-            {"conv_id": pd.Series(dtype=object),
-             "doc_num": pd.Series(dtype=np.int64),
-             "turn_idx": pd.Series(dtype=np.int64),
-             "score": pd.Series(dtype=np.float64),
-             "doc_id": pd.Series(dtype=object),
-             "group_rank": pd.Series(dtype=np.int64)}
-        )
         per_conv = max(1, int(per_conv))
         depth = max(4 * k * per_conv, 32)
         while True:
             deep = self.search(query, k=depth, require_all=require_all,
                                exclude=exclude, scope=scope)
             if not len(deep):
-                return empty
+                return pd.DataFrame(
+                    {"conv_id": pd.Series(dtype=object),
+                     "doc_num": pd.Series(dtype=np.int64),
+                     "turn_idx": pd.Series(dtype=np.int64),
+                     "score": pd.Series(dtype=np.float64),
+                     "doc_id": pd.Series(dtype=object),
+                     "group_rank": pd.Series(dtype=np.int64)}
+                )
             # deep is (score DESC, doc ASC); first row per conversation IS
             # its best turn under the global total order
             best = deep.drop_duplicates(subset=["conv_id"], keep="first")
@@ -1261,28 +1245,21 @@ class QueryEngine:
         ``max + tiebreak·(sum − max)`` over single-term BM25 contributions.
         Clauses are the query's DISTINCT terms (a duplicated token is the
         same clause) — identical scoring to ``dismax_topk``."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         terms = sorted(set(self.tokenizer.tokenize(query)))
         weights = self.term_weights(terms)
         if not weights:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         if scope is not None:
             scope = (int(scope[0]), int(scope[1]))
             if scope[0] >= scope[1]:
-                return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+                return self._result(_no_hits(), hydrate, resolve)
         results = self._fanout(
             lambda ts: [
                 a.query_dismax.remote(weights, float(tiebreak), k, scope=scope)
                 for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def search_boosted(
         self, query: str, boosts: Dict[str, float], k: int = 10,
@@ -1299,21 +1276,20 @@ class QueryEngine:
         FROM the passed weights, so pruning stays sound for any sign
         combination (signed-idf rules, state/shards.py block-max
         docstring)."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         terms = self.tokenizer.tokenize(query)
-        weights = self.term_weights(terms)
+        # drop a clause only when its BOOST is 0: an idf-0 term (df == N/2)
+        # still makes its docs candidates, exactly as in search_terms
         weights = {
-            t: w * float(boosts.get(t, 1.0)) for t, w in weights.items()
+            t: w * float(boosts.get(t, 1.0))
+            for t, w in self.term_weights(terms).items()
+            if float(boosts.get(t, 1.0)) != 0.0
         }
-        weights = {t: w for t, w in weights.items() if w != 0.0}
         if not weights:
-            return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+            return self._result(_no_hits(), hydrate, resolve)
         if scope is not None:
             scope = (int(scope[0]), int(scope[1]))
             if scope[0] >= scope[1]:
-                return self._finish(empty, hydrate) if (resolve or hydrate) else empty
+                return self._result(_no_hits(), hydrate, resolve)
         excl_terms = self.tokenizer.tokenize(exclude) if exclude else []
         excl = sorted(
             t for t, d in self.vocab.df(sorted(set(excl_terms))).items() if d > 0
@@ -1324,11 +1300,7 @@ class QueryEngine:
                 for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        out = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        if resolve or hydrate:
-            out = self._finish(out, hydrate)
-        return out
+        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
 
     def explain(self, query: str, doc_num: int) -> pd.DataFrame:
         """Per-term score breakdown for one document — the Lucene `explain`
@@ -1375,21 +1347,24 @@ class QueryEngine:
         the phrase unmatchable → empty.  Requires a positional index
         (build with ``BuildConfig(store_positions=True)``).  ``scope``
         composes like search()."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
+        return _topk_frame(self._phrase_topk(terms, k, scope))
+
+    def _phrase_topk(
+        self, terms: List[str], k: int,
+        scope: "Optional[Tuple[int, int]]" = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The merged (doc_nums, scores) top-k behind ``search_phrase_terms``."""
         if not terms:
-            return empty
+            return _no_hits()
         weights = self.term_weights(terms)
         if len(weights) < len(set(terms)):
-            return empty  # some term has df 0 → no doc can hold the phrase
+            return _no_hits()  # some term has df 0 → no doc can hold the phrase
         results = self._fanout(
             lambda ts: [
                 a.query_phrase.remote(terms, weights, k, scope=scope) for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        return pd.DataFrame({"doc_num": top_docs, "score": top_scores})
+        return _merge_topk_multi(results, k)
 
     def search_near(
         self, term_a: str, term_b: str, window: int = 5, k: int = 10,
@@ -1398,9 +1373,6 @@ class QueryEngine:
         """Proximity retrieval: docs where the two (single-token) terms
         occur within ``window`` tokens of each other, any order, BM25-scored
         over both.  Either term absent from the corpus → empty."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         ta = self.tokenizer.tokenize(term_a)
         tb = self.tokenizer.tokenize(term_b)
         if len(ta) != 1 or len(tb) != 1:
@@ -1410,17 +1382,14 @@ class QueryEngine:
         # query [a, a] double-weights the term like any duplicated query term
         weights = self.term_weights([a, b])
         if len(weights) < len({a, b}):
-            return self._finish(empty, hydrate)
+            return self._finish(_no_hits(), hydrate)
         results = self._fanout(
             lambda ts: [
                 x.query_near.remote(a, b, int(window), weights, k, scope=scope)
                 for x in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        return self._finish(
-            pd.DataFrame({"doc_num": top_docs, "score": top_scores}), hydrate
-        )
+        return self._finish(_merge_topk_multi(results, k), hydrate)
 
     def search_span_near(
         self, phrase: str, window: int, k: int = 10, hydrate: bool = False,
@@ -1432,25 +1401,19 @@ class QueryEngine:
         filtered token stream).  ``window == m − 1`` ≡ search_phrase;
         smaller windows are unmatchable → empty.  Identical scoring to
         ``span_near_topk``."""
-        empty = pd.DataFrame(
-            {"doc_num": pd.Series(dtype=np.int64), "score": pd.Series(dtype=np.float64)}
-        )
         terms = self.tokenizer.tokenize(phrase)
         if not terms or int(window) < len(terms) - 1:
-            return self._finish(empty, hydrate)
+            return self._finish(_no_hits(), hydrate)
         weights = self.term_weights(terms)
         if len(weights) < len(set(terms)):
-            return self._finish(empty, hydrate)  # df-0 term → unmatchable
+            return self._finish(_no_hits(), hydrate)  # df-0 term → unmatchable
         results = self._fanout(
             lambda ts: [
                 a.query_span_near.remote(terms, int(window), weights, k, scope=scope)
                 for a in ts
             ]
         )
-        top_docs, top_scores = _merge_topk_multi(results, k)
-        return self._finish(
-            pd.DataFrame({"doc_num": top_docs, "score": top_scores}), hydrate
-        )
+        return self._finish(_merge_topk_multi(results, k), hydrate)
 
     def search_phrase(
         self, phrase: str, k: int = 10, hydrate: bool = False,
@@ -1460,9 +1423,7 @@ class QueryEngine:
         stream is the FILTERED stream, so stopwords drop out before
         adjacency — identical semantics to the brute-force ``phrase_topk``)."""
         return self._finish(
-            self.search_phrase_terms(
-                self.tokenizer.tokenize(phrase), k, scope=scope
-            ),
+            self._phrase_topk(self.tokenizer.tokenize(phrase), k, scope),
             hydrate,
         )
 
@@ -1482,27 +1443,19 @@ class QueryEngine:
             for i in range(len(phrases))
             if token_lists[i] and len(weight_list[i]) == len(set(token_lists[i]))
         ]
-        out: List[pd.DataFrame] = [
-            pd.DataFrame({"doc_num": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-            for _ in phrases
-        ]
-        if not live:
-            return out
-        results = self._fanout(
-            lambda ts: [
-                a.query_phrase_many.remote(
-                    [t for _, t, _ in live], [w for _, _, w in live], k
-                )
-                for a in ts
-            ]
-        )
-        for j, (i, _, _) in enumerate(live):
-            top_docs, top_scores = _merge_topk_multi(
-                [sr[j] for sr in results], k
+        tops = [_no_hits() for _ in phrases]
+        if live:
+            results = self._fanout(
+                lambda ts: [
+                    a.query_phrase_many.remote(
+                        [t for _, t, _ in live], [w for _, _, w in live], k
+                    )
+                    for a in ts
+                ]
             )
-            out[i] = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        return out
+            for j, (i, _, _) in enumerate(live):
+                tops[i] = _merge_topk_multi([sr[j] for sr in results], k)
+        return [_topk_frame(top) for top in tops]
 
     def count_many(
         self, queries: List[str], require_all: bool = False
@@ -1604,36 +1557,49 @@ class QueryEngine:
     def search_many_result(self, handle: dict) -> List[pd.DataFrame]:
         """Wait on a ``search_many_submit`` handle and merge — same output
         (order, schema, values) as ``search_many`` on the same inputs."""
-        out: List[pd.DataFrame] = [
-            pd.DataFrame({"doc_num": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-            for _ in range(handle["n"])
-        ]
-        if not handle["live"]:
-            return out
-        per_shard = self._fanout_wait(handle["refs"], handle["submit"],
-                                      handle.get("epoch", -1))
-        k = handle["k"]
-        for j, (i, _) in enumerate(handle["live"]):
-            top_docs, top_scores = _merge_topk_multi(
-                [sr[j] for sr in per_shard], k
-            )
-            out[i] = pd.DataFrame({"doc_num": top_docs, "score": top_scores})
-        return out
+        tops = [_no_hits() for _ in range(handle["n"])]
+        if handle["live"]:
+            per_shard = self._fanout_wait(handle["refs"], handle["submit"],
+                                          handle.get("epoch", -1))
+            for j, (i, _) in enumerate(handle["live"]):
+                tops[i] = _merge_topk_multi(
+                    [sr[j] for sr in per_shard], handle["k"]
+                )
+        return [_topk_frame(top) for top in tops]
 
-    def _finish(self, out: pd.DataFrame, hydrate: bool) -> pd.DataFrame:
-        """Attach (conv_id, turn_idx, doc_id) to a (doc_num, score) frame,
-        optionally hydrating text — shared tail of every search flavor."""
-        if len(out):
-            conv, turn = self.resolver.resolve(out["doc_num"].to_numpy())
-            out = out.assign(conv_id=conv, turn_idx=turn)
-            out["doc_id"] = [
-                f"{c}:{t:08d}" for c, t in zip(out["conv_id"], out["turn_idx"])
-            ]
+    def _result(self, top: Tuple[np.ndarray, np.ndarray], hydrate: bool,
+                resolve: bool) -> pd.DataFrame:
+        """Tail of the flavors whose resolution is optional: the resolved
+        frame when ``resolve`` or ``hydrate`` asks for it, else the bare
+        (doc_num, score) frame."""
+        if resolve or hydrate:
+            return self._finish(top, hydrate)
+        return _topk_frame(top)
+
+    def _finish(
+        self, top: Tuple[np.ndarray, np.ndarray], hydrate: bool,
+        extra: Optional[Dict[str, np.ndarray]] = None,
+    ) -> pd.DataFrame:
+        """The resolved result frame of a merged (doc_nums, scores) top-k,
+        built by one constructor: doc_num, score, the ``extra`` columns,
+        conv_id, turn_idx, doc_id — optionally hydrating text.  Shared tail
+        of every resolved search flavor."""
+        docs, scores = top
+        if len(docs):
+            conv, turn = self.resolver.resolve(docs)
         else:
-            out = out.assign(conv_id=pd.Series(dtype=object),
-                             turn_idx=pd.Series(dtype=np.int64),
-                             doc_id=pd.Series(dtype=object))
+            conv, turn = np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
+        doc_id = np.array(
+            [f"{c}:{t:08d}" for c, t in zip(conv.tolist(), turn.tolist())],
+            dtype=object,
+        )
+        # every array is fresh (merge, resolve, the line above), so the
+        # frame takes them without a copy
+        out = pd.DataFrame(
+            {"doc_num": docs, "score": scores, **(extra or {}),
+             "conv_id": conv, "turn_idx": turn, "doc_id": doc_id},
+            copy=False,
+        )
         if hydrate and len(out):
             out = self._hydrate(out)
         return out
@@ -1684,7 +1650,7 @@ class QueryEngine:
         terms = self.tokenizer.tokenize(query)
         excl = self.tokenizer.tokenize(exclude) if exclude else None
         out = self._finish(
-            self.search_terms(
+            self._search_topk(
                 terms, k, require_all=require_all, exclude=excl, scope=scope
             ),
             hydrate or snippet,
@@ -1709,14 +1675,14 @@ class QueryEngine:
             raise ValueError(f"page must be >= 0, got {page}")
         terms = self.tokenizer.tokenize(query)
         excl = self.tokenizer.tokenize(exclude) if exclude else None
-        full = self.search_terms(
+        docs, scores = self._search_topk(
             terms, k * (page + 1), require_all=require_all, exclude=excl,
             scope=scope,
         )
-        out = full.iloc[k * page : k * (page + 1)].reset_index(drop=True)
-        out = out.assign(rank=np.arange(k * page + 1, k * page + 1 + len(out),
-                                        dtype=np.int64))
-        return self._finish(out, hydrate)
+        rows = slice(k * page, k * (page + 1))
+        docs, scores = docs[rows], scores[rows]
+        rank = np.arange(k * page + 1, k * page + 1 + len(docs), dtype=np.int64)
+        return self._finish((docs, scores), hydrate, extra={"rank": rank})
 
     def _hydrate(self, out: pd.DataFrame) -> pd.DataFrame:
         """Attach turn text via point lookups on the partitioned docs parquet

@@ -504,19 +504,19 @@ class IndexShard:
                 dense = force == "dense"
             elif len(hits) >= WIDE_OR_TERMS or not (0.0 <= tb <= 1.0):
                 dense = True
+            elif len(top_docs) < k:
+                # an unfilled heap prunes nothing: one dense pass, with no
+                # bounds to compute (mirrors query())
+                dense = True
             else:
                 # adaptive execution (mirrors query()): when the bound
-                # cannot drop most windows — hot terms, unfilled heap —
-                # the per-window decode loop loses to one dense pass
+                # cannot drop most windows — hot terms — the per-window
+                # decode loop loses to one dense pass
                 uniq_wins, ub_sum, ub_max = self._window_bounds(
                     part, hits, want_max=True
                 )
                 bound = (1.0 - tb) * ub_max + tb * ub_sum
-                if len(top_docs) >= k:
-                    n_surviving = int((bound >= theta).sum())
-                else:
-                    n_surviving = len(uniq_wins)
-                dense = n_surviving * 2 > len(uniq_wins)
+                dense = int((bound >= theta).sum()) * 2 > len(uniq_wins)
             span = part.n_windows * W
             base = part.win_base * W
             if dense:
@@ -735,7 +735,7 @@ class IndexShard:
         return uniq_wins, ub, ubm
 
     def query(
-        self, term_weights: Dict[str, float], k: int, theta0: float = NEG_INF,
+        self, term_weights: Dict[str, float], k: int,
         exclude_terms: "Sequence[str]" = (), scope=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact top-k over this shard's docs.  ``term_weights`` maps term →
@@ -754,7 +754,7 @@ class IndexShard:
             scope = (int(scope[0]), int(scope[1]))
             if scope[0] >= scope[1]:
                 return top_docs, top_scores
-        theta = theta0
+        theta = NEG_INF
         self.counters["queries"] += 1
 
         for part_idx, part in enumerate(self.parts):
@@ -813,20 +813,21 @@ class IndexShard:
             # w·min_tfnorm would under-state the bound and prune true top-k
             # docs that lack the hot term — regression-tested in
             # test_negative_idf_pruning_soundness.
-            uniq_wins, ub, _ = self._window_bounds(part, hits)
             # adaptive execution: when pruning cannot drop most windows
             # (common terms / unfilled heap), run the vectorized MaxScore
             # pass over the whole part (essential/non-essential term split
             # against θ — see _maxscore_part); else walk windows in
-            # descending-bound order with block-max pruning.
-            if len(top_docs) >= k:
-                n_surviving = int((ub >= theta).sum())
-            else:
-                n_surviving = len(uniq_wins)
-            if n_surviving * 2 > len(uniq_wins):
+            # descending-bound order with block-max pruning.  An unfilled
+            # heap prunes nothing, so the bounds are computed only once the
+            # heap holds k docs.
+            heap_full = len(top_docs) >= k
+            if heap_full:
+                uniq_wins, ub, _ = self._window_bounds(part, hits)
+                maxscore = int((ub >= theta).sum()) * 2 > len(uniq_wins)
+            if not heap_full or maxscore:
                 self.counters["maxscore_parts"] += 1
                 res = self._maxscore_part(
-                    part_idx, part, hits, theta if len(top_docs) >= k else NEG_INF
+                    part_idx, part, hits, theta if heap_full else NEG_INF
                 )
                 if res is None:
                     continue
@@ -1356,10 +1357,13 @@ class IndexShard:
         positions spanning at most ``window`` (p_last − p_first), scored
         like query_phrase (BM25 over the distinct terms, full statistics).
 
-        The scan set is the conjunctive window intersection (an ordered
-        span match implies an AND match); matching is the shared greedy
-        latest-predecessor kernel over the whole-part positions cache —
-        one searchsorted per phrase slot, no per-candidate Python.
+        The conjunctive window intersection (an ordered span match implies
+        an AND match) is only an early exit: a part where the terms share
+        no window is skipped.  Otherwise matching scans every position of
+        the terms in the part, not just the intersected windows — the
+        shared greedy latest-predecessor kernel over the whole-part
+        positions cache, one searchsorted per phrase slot, no
+        per-candidate Python.
         Requires an index built with ``store_positions=True``."""
         from oboyu_ray.functions.spanmatch import SPAN_PK, ordered_span_docs
 
