@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from oboyu_ray.pipelines.query import QueryEngine
 from oboyu_ray.stages.stats import idf
-from oboyu_ray.state.shards import _merge_topk
 
 
 class FederatedEngine:
@@ -125,44 +124,23 @@ class FederatedEngine:
             return empty
         if require_all and len(weights) < len(set(terms)):
             return empty  # some term absent from EVERY member
-        excl = sorted(
-            t for t, d in self.df(sorted(set(exclude or []))).items() if d > 0
-        )
-        return self._fan_weights(weights, k, require_all=require_all, excl=excl)
+        return self._fan_weights(weights, k, require_all=require_all,
+                                 excl=exclude or ())
 
     def _fan_weights(
         self, weights: Dict[str, float], k: int,
         require_all: bool = False, excl: Sequence[str] = (),
     ) -> pd.DataFrame:
-        """Fan the SAME merged weights to every member's pool; the
-        per-member exact top-ks merge on the driver with member order as
-        the tie-break after score (the one documented deviation from a
-        monolith's global doc order)."""
-        per_member = []
-        for ei, e in enumerate(self.engines):
-            if require_all:
-                results = e._fanout(
-                    lambda ts: [
-                        a.query_all.remote(weights, k, exclude_terms=excl)
-                        for a in ts
-                    ]
-                )
-            else:
-                results = e._fanout(
-                    lambda ts: [
-                        a.query.remote(weights, k, exclude_terms=excl)
-                        for a in ts
-                    ]
-                )
-            docs = np.empty(0, dtype=np.int64)
-            scores = np.empty(0, dtype=np.float64)
-            for d_, s_ in results:
-                docs, scores = _merge_topk(docs, scores, d_, s_, k)
-            per_member.append((ei, docs, scores))
+        """Fan the SAME merged weights to every member's pool (each member
+        merges its own shards' top-ks); the per-member top-ks merge on the
+        driver with member order as the tie-break after score (the one
+        documented deviation from a monolith's global doc order).  Each
+        member drops the excluded terms absent from its own vocabulary."""
+        method = "query_all" if require_all else "query"
         rows = []
-        for ei, docs, scores in per_member:
-            for d_, s_ in zip(docs.tolist(), scores.tolist()):
-                rows.append((s_, ei, d_))
+        for ei, e in enumerate(self.engines):
+            docs, scores = e._shards(method, weights, k=k, exclude_terms=excl)
+            rows += [(s_, ei, d_) for d_, s_ in zip(docs.tolist(), scores.tolist())]
         rows.sort(key=lambda r: (-r[0], r[1], r[2]))
         rows = rows[:k]
         return pd.DataFrame(

@@ -460,191 +460,47 @@ def _read_doc_texts_local(path: str, wanted: list):
 _read_doc_texts = ray.remote(num_cpus=0)(_read_doc_texts_local)
 
 
+def _combine(replies: list, method: str, args: tuple, kw: dict):
+    """Reduce the per-target replies of the shard call ``method(*args,
+    **kw)`` to the one reply a single shard holding every part would give —
+    the reduce the driver and the aggregators share.  Top-k pairs merge
+    exactly by (score DESC, doc ASC) (top-k methods take ``k`` by keyword),
+    counts add, ``explain`` rows concatenate, and a ``batch`` call reduces
+    element by element with its inner method's rule.  No replies (a dead
+    scope asked nobody) give that method's empty result."""
+    if method == "batch":
+        inner, calls = args
+        return [
+            _combine([r[j] for r in replies], inner, c, kw)
+            for j, c in enumerate(calls)
+        ]
+    if method == "count_matches":
+        return sum(replies)
+    if method == "explain":
+        return [row for rows in replies for row in rows]
+    # looked up as a module global at call time: the driver's merge stays
+    # one seam that tracing can wrap
+    return _merge_topk_multi(replies, kw["k"])
+
+
 class MergeAggregator:
-    """Intermediate merge tier: owns a group of shard actors, fans a query
-    to them, merges their exact top-ks, returns one top-k — same query /
-    query_many interface as IndexShard, so the driver code is agnostic.
-    At 256 nodes one aggregator runs per node over its local shards and the
-    driver merges #nodes results instead of #shards."""
+    """Intermediate merge tier: owns a group of shard actors, forwards any
+    shard call to them (``forward``) and reduces their replies with the
+    driver's own ``_combine``, so one aggregator answers exactly like one
+    shard holding the whole group.  At 256 nodes one aggregator runs per
+    node over its local shards and the driver merges #nodes results
+    instead of #shards."""
 
     def __init__(self, shard_actors: List) -> None:
         self.shards = shard_actors
 
-    def query(self, term_weights: Dict[str, float], k: int,
-              exclude_terms: Sequence[str] = (), scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query.remote(
-                    term_weights, k, exclude_terms=exclude_terms, scope=scope
-                )
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_all(self, term_weights: Dict[str, float], k: int,
-                  exclude_terms: Sequence[str] = (), scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_all.remote(
-                    term_weights, k, exclude_terms=exclude_terms, scope=scope
-                )
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_bool(self, tree, term_weights: Dict[str, float], k: int,
-                   scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_bool.remote(tree, term_weights, k, scope=scope)
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_synonym(self, groups, group_weights, k: int, scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_synonym.remote(groups, group_weights, k, scope=scope)
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_dismax(self, term_weights: Dict[str, float], tiebreak: float,
-                     k: int, scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_dismax.remote(term_weights, tiebreak, k, scope=scope)
-                for s in self.shards
-            ]
-        ), k)
-
-    def explain(self, term_weights: Dict[str, float], doc_abs: int):
-        import ray as _ray
-
-        out = []
-        for rows in _ray.get(
-            [s.explain.remote(term_weights, doc_abs) for s in self.shards]
-        ):
-            out.extend(rows)
-        return out
-
-    def query_term_range(self, lo: str, hi: str,
-                         term_weights: Dict[str, float], k: int,
-                         exclude_terms: Sequence[str] = (), scope=None,
-                         weights_key=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_term_range.remote(
-                    lo, hi, term_weights, k, exclude_terms=exclude_terms,
-                    scope=scope, weights_key=weights_key,
-                )
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_phrase(self, phrase_terms: List[str], term_weights: Dict[str, float],
-                     k: int, scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_phrase.remote(phrase_terms, term_weights, k, scope=scope)
-                for s in self.shards
-            ]
-        ), k)
-
-    def count_matches(self, terms: List[str], require_all: bool = False,
-                      exclude_terms: Sequence[str] = (), scope=None):
-        import ray as _ray
-
-        return sum(_ray.get(
-            [
-                s.count_matches.remote(
-                    terms, require_all=require_all,
-                    exclude_terms=exclude_terms, scope=scope,
-                )
-                for s in self.shards
-            ]
-        ))
-
-    def query_span_near(self, phrase_terms: List[str], window: int,
-                        term_weights: Dict[str, float], k: int, scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_span_near.remote(
-                    phrase_terms, window, term_weights, k, scope=scope
-                )
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_near(self, term_a: str, term_b: str, window: int,
-                   term_weights: Dict[str, float], k: int, scope=None):
-        import ray as _ray
-
-        return _merge_topk_multi(_ray.get(
-            [
-                s.query_near.remote(term_a, term_b, window, term_weights, k,
-                                    scope=scope)
-                for s in self.shards
-            ]
-        ), k)
-
-    def query_phrase_many(self, phrase_lists, weights_list, k: int):
-        import ray as _ray
-
-        per_shard = _ray.get(
-            [
-                s.query_phrase_many.remote(phrase_lists, weights_list, k)
-                for s in self.shards
-            ]
-        )
-        return [
-            _merge_topk_multi([sr[j] for sr in per_shard], k)
-            for j in range(len(phrase_lists))
-        ]
-
-    def query_many(self, weight_dicts, k: int, require_all: bool = False,
-                   exclude_terms=(), scope=None):
-        import ray as _ray
-
-        per_shard = _ray.get(
-            [
-                s.query_many.remote(
-                    weight_dicts, k, require_all,
-                    exclude_terms=exclude_terms, scope=scope,
-                )
-                for s in self.shards
-            ]
-        )
-        return [
-            _merge_topk_multi([sr[j] for sr in per_shard], k)
-            for j in range(len(weight_dicts))
-        ]
-
-    def count_many(self, term_lists, require_all: bool = False):
-        import ray as _ray
-
-        per_shard = _ray.get(
-            [s.count_many.remote(term_lists, require_all) for s in self.shards]
-        )
-        return [
-            sum(sr[j] for sr in per_shard) for j in range(len(term_lists))
-        ]
+    def forward(self, method: str, *args, **kw):
+        """``method(*args, **kw)`` on every shard of the group, reduced.
+        The call's own arguments stay top-level, so Ray resolves an
+        ``ObjectRef`` argument (``search_prefix``'s shipped weights) before
+        it is forwarded."""
+        replies = ray.get([getattr(s, method).remote(*args, **kw) for s in self.shards])
+        return _combine(replies, method, args, kw)
 
 
 class QueryEngine:
@@ -714,6 +570,14 @@ class QueryEngine:
             num_shards = max(1, min(len(parts), avail))
         assign: List[List[int]] = [parts[i::num_shards] for i in range(num_shards)]
         self._assign = [a for a in assign if a]
+        # each shard holds one CPU: a pool wider than the CLUSTER could never
+        # finish spawning (a merely busy cluster still waits, as it should)
+        total_cpus = int(ray.cluster_resources().get("CPU", 0))
+        if len(self._assign) > total_cpus:
+            raise ValueError(
+                f"{len(self._assign)} shards need {len(self._assign)} CPUs but "
+                f"the cluster has {total_cpus}; pass num_shards <= {total_cpus}"
+            )
         self.actors: List = []
         self.aggregators: List = []
         self._pool_epoch = 0
@@ -804,6 +668,50 @@ class QueryEngine:
             self._spawn_pool()
         return ray.get(submit(self._targets))
 
+    def _shard_call(self, method: str, args: tuple, kw: dict):
+        """The submit function of the shard call ``method(*args, **kw)``:
+        shard targets run it, aggregator targets ``forward`` it.  Normalizes
+        the arguments every mode shares, in place: ``scope`` becomes an int
+        pair and ``exclude_terms`` keeps only terms in the vocabulary (df=0
+        terms exclude nothing; dropping them saves the shards a slice
+        lookup).  None when a dead scope (lo >= hi) leaves nothing to ask."""
+        scope = kw.get("scope")
+        if scope is not None:
+            kw["scope"] = scope = (int(scope[0]), int(scope[1]))
+            if scope[0] >= scope[1]:
+                return None
+        if kw.get("exclude_terms"):
+            dfs = self.vocab.df(sorted(set(kw["exclude_terms"])))
+            kw["exclude_terms"] = [t for t, d in sorted(dfs.items()) if d > 0]
+
+        def submit(ts):
+            if self.aggregators:
+                return [a.forward.remote(method, *args, **kw) for a in ts]
+            return [getattr(a, method).remote(*args, **kw) for a in ts]
+
+        return submit
+
+    def _shards(self, method: str, *args, **kw):
+        """Run the shard method ``method(*args, **kw)`` across the pool and
+        reduce the replies to one (``_combine``) — the one path every
+        driver→shard query and count takes."""
+        submit = self._shard_call(method, args, kw)
+        return _combine(self._fanout(submit) if submit else [], method, args, kw)
+
+    def _shards_submit(self, method: str, *args, **kw) -> dict:
+        """``_shards`` without waiting: the in-flight call for
+        ``_shards_result`` (pipelined serving)."""
+        submit = self._shard_call(method, args, kw)
+        return {"call": (method, args, kw), "submit": submit,
+                "refs": self._fanout_submit(submit) if submit else None,
+                "epoch": self._pool_epoch}
+
+    def _shards_result(self, call: dict):
+        """Wait on a ``_shards_submit`` call and reduce its replies."""
+        replies = (self._fanout_wait(call["refs"], call["submit"], call["epoch"])
+                   if call["submit"] else [])
+        return _combine(replies, *call["call"])
+
     # ------------------------------------------------------------ querying
 
     @staticmethod
@@ -841,35 +749,12 @@ class QueryEngine:
         weights = self.term_weights(terms)
         if not weights:
             return _no_hits()
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return _no_hits()
-        # boolean NOT: only excluded terms that exist in the vocabulary can
-        # exclude anything (df=0 terms are no-ops, dropped here so shards
-        # skip the slice lookup)
-        excl = sorted(
-            t for t, d in self.vocab.df(sorted(set(exclude))).items() if d > 0
-        ) if exclude else []
-        if require_all:
-            # strict AND: a corpus-absent distinct term is unmatchable —
-            # term_weights drops df=0 terms, so compare against the asked set
-            if len(weights) < len(set(terms)):
-                return _no_hits()
-            results = self._fanout(
-                lambda ts: [
-                    a.query_all.remote(weights, k, exclude_terms=excl, scope=scope)
-                    for a in ts
-                ]
-            )
-        else:
-            results = self._fanout(
-                lambda ts: [
-                    a.query.remote(weights, k, exclude_terms=excl, scope=scope)
-                    for a in ts
-                ]
-            )
-        return _merge_topk_multi(results, k)
+        # strict AND: a corpus-absent distinct term is unmatchable —
+        # term_weights drops df=0 terms, so compare against the asked set
+        if require_all and len(weights) < len(set(terms)):
+            return _no_hits()
+        return self._shards("query_all" if require_all else "query", weights,
+                            k=k, exclude_terms=exclude, scope=scope)
 
     def search_prefix(
         self, prefix: str, k: int = 10, max_terms: int = 1000,
@@ -911,15 +796,9 @@ class QueryEngine:
         # answer the prefix as one contiguous decode per part
         # (query_term_range) instead of per-term work over the expansion;
         # weights_key=prefix lets shards reuse per-range weight vectors.
-        hi_bound = prefix + "￿"
-        results = self._fanout(
-            lambda ts: [
-                a.query_term_range.remote(prefix, hi_bound, weights_ref, k,
-                                          scope=scope, weights_key=prefix)
-                for a in ts
-            ]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        top = self._shards("query_term_range", prefix, prefix + "￿",
+                           weights_ref, k=k, scope=scope, weights_key=prefix)
+        return self._result(top, hydrate, resolve)
 
     def search_fuzzy(
         self, term: str, max_edits: int = 1, k: int = 10, max_terms: int = 1000,
@@ -946,10 +825,8 @@ class QueryEngine:
         terms take the shards' wide-OR dense path automatically."""
         if not weights:
             return self._result(_no_hits(), hydrate, resolve)
-        results = self._fanout(
-            lambda ts: [a.query.remote(weights, k, scope=scope) for a in ts]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        return self._result(self._shards("query", weights, k=k, scope=scope),
+                            hydrate, resolve)
 
     def search_regex(
         self, pattern: str, k: int = 10, max_terms: int = 1000,
@@ -1063,10 +940,7 @@ class QueryEngine:
             return self._result(_no_hits(), hydrate, resolve)
         # k+1 then drop the source doc — it may rank anywhere in its own
         # neighborhood (typically first)
-        results = self._fanout(
-            lambda ts: [a.query.remote(weights, k + 1, scope=scope) for a in ts]
-        )
-        top_docs, top_scores = _merge_topk_multi(results, k + 1)
+        top_docs, top_scores = self._shards("query", weights, k=k + 1, scope=scope)
         keep = top_docs != int(doc_num)
         return self._result(
             (top_docs[keep][:k], top_scores[keep][:k]), hydrate, resolve
@@ -1094,11 +968,8 @@ class QueryEngine:
         }
         if not any(int(dfs.get(t, 0)) > 0 for t in pos_terms):
             return self._result(_no_hits(), hydrate, resolve)
-        results = self._fanout(
-            lambda ts: [a.query_bool.remote(tree, weights, k, scope=scope)
-                        for a in ts]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        top = self._shards("query_bool", tree, weights, k=k, scope=scope)
+        return self._result(top, hydrate, resolve)
 
     def search_synonym(
         self, query: str, synonyms: Dict[str, "Sequence[str]"],
@@ -1129,13 +1000,8 @@ class QueryEngine:
             return self._result(_no_hits(), hydrate, resolve)
         groups = [list(g) for g in w]
         weights = [w[g] for g in w]
-        results = self._fanout(
-            lambda ts: [
-                a.query_synonym.remote(groups, weights, k, scope=scope)
-                for a in ts
-            ]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        top = self._shards("query_synonym", groups, weights, k=k, scope=scope)
+        return self._result(top, hydrate, resolve)
 
     def search_collapse(
         self, query: str, k: int = 10, per_conv: int = 1,
@@ -1218,23 +1084,9 @@ class QueryEngine:
             return 0
         if require_all and len(set(live)) < len(set(terms)):
             return 0
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return 0
-        excl_terms = self.tokenizer.tokenize(exclude) if exclude else []
-        excl = sorted(
-            t for t, d in self.vocab.df(sorted(set(excl_terms))).items() if d > 0
-        )
-        return sum(self._fanout(
-            lambda ts: [
-                a.count_matches.remote(
-                    live, require_all=require_all, exclude_terms=excl,
-                    scope=scope,
-                )
-                for a in ts
-            ]
-        ))
+        excl = self.tokenizer.tokenize(exclude) if exclude else []
+        return self._shards("count_matches", live, require_all=require_all,
+                            exclude_terms=excl, scope=scope)
 
     def search_dismax(
         self, query: str, k: int = 10, tiebreak: float = 0.3,
@@ -1249,17 +1101,9 @@ class QueryEngine:
         weights = self.term_weights(terms)
         if not weights:
             return self._result(_no_hits(), hydrate, resolve)
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return self._result(_no_hits(), hydrate, resolve)
-        results = self._fanout(
-            lambda ts: [
-                a.query_dismax.remote(weights, float(tiebreak), k, scope=scope)
-                for a in ts
-            ]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        top = self._shards("query_dismax", weights, float(tiebreak), k=k,
+                           scope=scope)
+        return self._result(top, hydrate, resolve)
 
     def search_boosted(
         self, query: str, boosts: Dict[str, float], k: int = 10,
@@ -1286,21 +1130,9 @@ class QueryEngine:
         }
         if not weights:
             return self._result(_no_hits(), hydrate, resolve)
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return self._result(_no_hits(), hydrate, resolve)
-        excl_terms = self.tokenizer.tokenize(exclude) if exclude else []
-        excl = sorted(
-            t for t, d in self.vocab.df(sorted(set(excl_terms))).items() if d > 0
-        )
-        results = self._fanout(
-            lambda ts: [
-                a.query.remote(weights, k, exclude_terms=excl, scope=scope)
-                for a in ts
-            ]
-        )
-        return self._result(_merge_topk_multi(results, k), hydrate, resolve)
+        excl = self.tokenizer.tokenize(exclude) if exclude else []
+        top = self._shards("query", weights, k=k, exclude_terms=excl, scope=scope)
+        return self._result(top, hydrate, resolve)
 
     def explain(self, query: str, doc_num: int) -> pd.DataFrame:
         """Per-term score breakdown for one document — the Lucene `explain`
@@ -1322,10 +1154,7 @@ class QueryEngine:
         if not weights:
             return pd.DataFrame(cols)
         dfs = self.vocab.df(sorted(weights))
-        results = self._fanout(
-            lambda ts: [a.explain.remote(weights, int(doc_num)) for a in ts]
-        )
-        rows = [r for shard_rows in results for r in shard_rows]
+        rows = self._shards("explain", weights, int(doc_num))
         if not rows:
             return pd.DataFrame(cols)
         out = pd.DataFrame(
@@ -1359,12 +1188,7 @@ class QueryEngine:
         weights = self.term_weights(terms)
         if len(weights) < len(set(terms)):
             return _no_hits()  # some term has df 0 → no doc can hold the phrase
-        results = self._fanout(
-            lambda ts: [
-                a.query_phrase.remote(terms, weights, k, scope=scope) for a in ts
-            ]
-        )
-        return _merge_topk_multi(results, k)
+        return self._shards("query_phrase", terms, weights, k=k, scope=scope)
 
     def search_near(
         self, term_a: str, term_b: str, window: int = 5, k: int = 10,
@@ -1383,13 +1207,11 @@ class QueryEngine:
         weights = self.term_weights([a, b])
         if len(weights) < len({a, b}):
             return self._finish(_no_hits(), hydrate)
-        results = self._fanout(
-            lambda ts: [
-                x.query_near.remote(a, b, int(window), weights, k, scope=scope)
-                for x in ts
-            ]
+        return self._finish(
+            self._shards("query_near", a, b, int(window), weights, k=k,
+                         scope=scope),
+            hydrate,
         )
-        return self._finish(_merge_topk_multi(results, k), hydrate)
 
     def search_span_near(
         self, phrase: str, window: int, k: int = 10, hydrate: bool = False,
@@ -1407,13 +1229,11 @@ class QueryEngine:
         weights = self.term_weights(terms)
         if len(weights) < len(set(terms)):
             return self._finish(_no_hits(), hydrate)  # df-0 term → unmatchable
-        results = self._fanout(
-            lambda ts: [
-                a.query_span_near.remote(terms, int(window), weights, k, scope=scope)
-                for a in ts
-            ]
+        return self._finish(
+            self._shards("query_span_near", terms, int(window), weights, k=k,
+                         scope=scope),
+            hydrate,
         )
-        return self._finish(_merge_topk_multi(results, k), hydrate)
 
     def search_phrase(
         self, phrase: str, k: int = 10, hydrate: bool = False,
@@ -1429,9 +1249,9 @@ class QueryEngine:
 
     def search_phrase_many(self, phrases: List[str], k: int = 10) -> List[pd.DataFrame]:
         """Batched phrase retrieval: ONE vocab df sweep for the union of all
-        phrases' terms and ONE fan-out round for all phrases (per-shard
-        query_phrase_many; consecutive phrases share the shard caches) —
-        the phrase counterpart of search_many."""
+        phrases' terms and ONE fan-out round for all phrases (one shard
+        ``batch`` of query_phrase calls; consecutive phrases share the shard
+        caches) — the phrase counterpart of search_many."""
         token_lists = [self.tokenizer.tokenize(p) for p in phrases]
         dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
         n = int(self.stats["N"])
@@ -1445,23 +1265,18 @@ class QueryEngine:
         ]
         tops = [_no_hits() for _ in phrases]
         if live:
-            results = self._fanout(
-                lambda ts: [
-                    a.query_phrase_many.remote(
-                        [t for _, t, _ in live], [w for _, _, w in live], k
-                    )
-                    for a in ts
-                ]
-            )
-            for j, (i, _, _) in enumerate(live):
-                tops[i] = _merge_topk_multi([sr[j] for sr in results], k)
+            got = self._shards("batch", "query_phrase",
+                               [(t, w) for _, t, w in live], k=k)
+            for (i, _, _), top in zip(live, got):
+                tops[i] = top
         return [_topk_frame(top) for top in tops]
 
     def count_many(
         self, queries: List[str], require_all: bool = False
     ) -> List[int]:
         """Batched total-hit counts: ONE vocab df sweep for the union of
-        all queries' terms, ONE fan-out round (per-shard count_many), then
+        all queries' terms, ONE fan-out round (one shard ``batch`` of
+        count_matches calls), then
         per-query integer sums — the counting counterpart of search_many.
         Semantics per query match count_matches (df-0 terms drop; strict
         AND on a corpus-absent term counts zero)."""
@@ -1480,13 +1295,10 @@ class QueryEngine:
             live_lists.append(live)
         if not live_lists:
             return out
-        results = self._fanout(
-            lambda targets: [
-                a.count_many.remote(live_lists, require_all) for a in targets
-            ]
-        )
-        for j, i in enumerate(idx_of):
-            out[i] = sum(r[j] for r in results)
+        got = self._shards("batch", "count_matches",
+                           [(ts,) for ts in live_lists], require_all=require_all)
+        for i, n in zip(idx_of, got):
+            out[i] = n
         return out
 
     def search_many(
@@ -1496,7 +1308,7 @@ class QueryEngine:
     ) -> List[pd.DataFrame]:
         """Batched search: ONE vocab df pass for the union of all queries'
         terms (a single grouped point-lookup sweep instead of one per
-        query), ONE fan-out round for all queries (per-shard query_many),
+        query), ONE fan-out round for all queries (one shard ``batch``),
         then per-query exact merges — the throughput-serving path
         (single-query latency is search()).  ``require_all`` applies
         strict conjunctive semantics per query; ``exclude`` (a term string
@@ -1524,47 +1336,32 @@ class QueryEngine:
         handle, so out-of-order collection is correct too, just pointless).
         """
         token_lists = [self.tokenizer.tokenize(q) for q in queries]
-        excl_terms = self.tokenizer.tokenize(exclude) if exclude else []
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-        dfs = self.vocab.df(
-            sorted({t for ts in token_lists for t in ts} | set(excl_terms))
-        )
-        excl = sorted(t for t in set(excl_terms) if dfs.get(t, 0) > 0)
+        dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
         n = int(self.stats["N"])
         weight_list = [self._weights_from_dfs(ts, dfs, n) for ts in token_lists]
-        dead_scope = scope is not None and scope[0] >= scope[1]
         live = [
             (i, w)
             for i, w in enumerate(weight_list)
-            if w and not dead_scope
-            and not (require_all and len(w) < len(set(token_lists[i])))
+            if w and not (require_all and len(w) < len(set(token_lists[i])))
         ]
-        handle = {"n": len(queries), "k": k, "live": live, "refs": None,
-                  "submit": None}
-        if not live:
-            return handle
-        submit = lambda ts: [  # noqa: E731 — re-issued verbatim on respawn
-            a.query_many.remote([w for _, w in live], k, require_all,
-                                exclude_terms=excl, scope=scope)
-            for a in ts
-        ]
-        handle["submit"] = submit
-        handle["refs"] = self._fanout_submit(submit)
-        handle["epoch"] = self._pool_epoch
+        handle = {"n": len(queries), "live": live, "call": None}
+        if live:
+            handle["call"] = self._shards_submit(
+                "batch", "query_all" if require_all else "query",
+                [(w,) for _, w in live], k=k,
+                exclude_terms=self.tokenizer.tokenize(exclude) if exclude else [],
+                scope=scope,
+            )
         return handle
 
     def search_many_result(self, handle: dict) -> List[pd.DataFrame]:
         """Wait on a ``search_many_submit`` handle and merge — same output
         (order, schema, values) as ``search_many`` on the same inputs."""
         tops = [_no_hits() for _ in range(handle["n"])]
-        if handle["live"]:
-            per_shard = self._fanout_wait(handle["refs"], handle["submit"],
-                                          handle.get("epoch", -1))
-            for j, (i, _) in enumerate(handle["live"]):
-                tops[i] = _merge_topk_multi(
-                    [sr[j] for sr in per_shard], handle["k"]
-                )
+        if handle["call"]:
+            got = self._shards_result(handle["call"])
+            for (i, _), top in zip(handle["live"], got):
+                tops[i] = top
         return [_topk_frame(top) for top in tops]
 
     def _result(self, top: Tuple[np.ndarray, np.ndarray], hydrate: bool,

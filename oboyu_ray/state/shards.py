@@ -1649,35 +1649,16 @@ class IndexShard:
             return out
         return out
 
-    def query_many(self, weight_dicts, k: int, require_all: bool = False,
-                   exclude_terms: Sequence[str] = (), scope=None):
-        """Batched queries — one actor round-trip for N queries (amortizes
-        the per-call RPC + serialization overhead for throughput serving).
-        ``require_all`` routes every query through the conjunctive path;
-        ``exclude_terms``/``scope`` apply UNIFORMLY to the whole batch (the
-        serving shape: one tenant / conversation range per batch)."""
-        run = self.query_all if require_all else self.query
-        return [
-            run(w, k, exclude_terms=exclude_terms, scope=scope)
-            for w in weight_dicts
-        ]
-
-    def count_many(self, term_lists, require_all: bool = False):
-        """Batched total-hit counts — one actor round-trip for N queries
-        (the count_matches counterpart of query_many); consecutive queries
-        share the contribution cache."""
-        return [
-            self.count_matches(ts, require_all=require_all) for ts in term_lists
-        ]
-
-    def query_phrase_many(self, phrase_lists, weights_list, k: int):
-        """Batched phrase queries — one round-trip; consecutive phrases
-        share the positions/contribution caches, so a batch touching the
-        same hot terms decodes them once."""
-        return [
-            self.query_phrase(terms, w, k)
-            for terms, w in zip(phrase_lists, weights_list)
-        ]
+    def batch(self, method: str, calls, **kw):
+        """Batched calls — one actor round-trip for N calls of ONE query or
+        count method (amortizes the per-call RPC + serialization overhead
+        for throughput serving): ``method(*args, **kw)`` for each ``args``
+        in ``calls``, with ``kw`` shared by the whole batch (the serving
+        shape: one k, tenant and conversation range per batch).
+        Consecutive calls share the decode/positions caches, so a batch
+        touching the same hot terms decodes them once."""
+        run = getattr(self, method)
+        return [run(*args, **kw) for args in calls]
 
     def configure(self, k1: float, b: float, avgdl: float,
                   build_avgdl: Optional[float] = None) -> None:

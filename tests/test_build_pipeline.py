@@ -23,7 +23,6 @@ from oboyu_ray.pipelines.query import QueryEngine
 from oboyu_ray.sources.transcripts import write_synth_transcripts
 from tests.reference_oracle import load_reference
 
-REF = load_reference()
 CFG = BM25Config()
 
 N_CONVS = 300
@@ -93,6 +92,7 @@ def test_docs_text_equality_with_source(built):
 
 
 def test_stats_match_reference(built):
+    REF = load_reference()
     pairs = load_pairs(built["files"])
     ridx = REF.BM25Indexer()
     ridx.index_chunks([REF.make_chunk(i, c) for i, c in pairs])
@@ -176,6 +176,7 @@ def test_engine_matches_reference_oracle(built, engine):
     """Rank-identical top-k docIDs + scores vs the reference BM25Indexer."""
     from tests.reference_oracle import reference_topk
 
+    REF = load_reference()
     pairs = load_pairs(built["files"])
     ridx = REF.BM25Indexer()
     ridx.index_chunks([REF.make_chunk(i, c) for i, c in pairs])

@@ -5,6 +5,8 @@ ranking.  All shard state is on disk, so recovery is a pure reload."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -115,6 +117,28 @@ def test_non_actor_errors_still_raise(engine):
     with pytest.raises(Exception) as ei:
         engine._fanout(lambda ts: [a.query.remote(None, 10) for a in ts])
     assert not isinstance(ei.value, ray.exceptions.RayActorError)
+
+
+def _live_actors() -> int:
+    # the GCS actor table (the state API needs the dashboard, which the
+    # test session does not start)
+    from ray._private.state import actors
+
+    return sum(a["State"] != "DEAD" for a in actors().values())
+
+
+def test_unschedulable_pool_fails_fast(engine):
+    """A pool wider than the cluster's CPUs could never finish spawning
+    (each shard holds one CPU): the engine refuses it before creating any
+    actor instead of waiting forever."""
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert len(engine.report["parts"]) > cpus, "need more parts than CPUs"
+    before = _live_actors()
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="CPUs"):
+        QueryEngine(engine.index_dir, num_shards=cpus + 1)
+    assert time.monotonic() - t0 < 10
+    assert _live_actors() == before
 
 
 def test_engine_reuse_after_close_respawns(engine):
