@@ -39,8 +39,8 @@ _DRIVER_CHECKED = frozenset(
         "events_window", "events_window_hopping", "orders_by_nation",
         "asof_join", "text_normalize", "bm25_topk_filtered", "rerank_topk",
         "simsearch_ivf", "simsearch_ivf_persisted", "sessionize",
-        "transcript_engine_topk", "doc_embeddings", "approx_distinct_users",
-        "interval_join", "topk_per_group", "heavy_hitters",
+        "transcript_engine_topk", "doc_embeddings", "interval_join",
+        "topk_per_group", "heavy_hitters",
         "price_quantiles", "grouped_quantiles", "edc_entities",
         "pii_redact", "text_repetition", "boilerplate_ngrams",
         "decontaminate", "stratified_sample", "join_revenue",
@@ -51,8 +51,8 @@ _DRIVER_CHECKED = frozenset(
         "idle_highvalue_customers", "domain_mixture", "revenue_cube",
         "top_return_customers", "lang_drift_by_source", "forecast_revenue",
         "small_order_revenue", "top_supplier", "corpus_profile",
-        "clean_corpus", "doc_surprisal", "approx_distinct_by_type",
-        "embedding_clusters", "price_quantiles_sketch", "pack_sequences",
+        "clean_corpus", "doc_surprisal", "embedding_clusters",
+        "price_quantiles_sketch", "pack_sequences",
         "funnel_conversion", "doc_keywords", "token_counts_bpe",
         "price_histogram", "dedup_incremental", "fuzzy_terms",
         "orders_unfilled", "stratified_topk_sample", "collocations",

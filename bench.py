@@ -10,7 +10,10 @@ Headline pipeline (the BASELINE.json north metric):
   3. the driver-contract queries() suite timed over $GRAFT_SF_DIR
      (default /root/testdata/sf0.1).
 
-Prints ONE JSON line on the last stdout line.
+The last stdout line is ONE compact JSON object (at most LAST_LINE_MAX
+chars): the headline fields plus `details`, the path of a side file under
+BENCH_ROOT that holds the full result (per-operator suite seconds, feature
+latencies, scaling legs).
 
 `--scaling`: runs the SAME build+query job in three fresh subprocesses at
 num_cpus=2, 8 and 32 (N vs 4N stand-ins, see BASELINE.md), reports
@@ -39,6 +42,9 @@ SCALING_CONVS = int(os.environ.get("OBOYU_BENCH_SCALING_CONVS", "192000"))
 CONVS_PER_FILE = 400
 QUERY_RUNS = 100
 QUERY_WARMUP = 5
+# fields too large for the last stdout line: side file only
+DETAIL_KEYS = ("queries", "feature_p50_ms", "legs")
+LAST_LINE_MAX = 1500
 
 BENCH_QUERIES = [
     "検索 エンジン",
@@ -281,6 +287,26 @@ def run_query_suite(sf_dir: str) -> dict:
     return timings
 
 
+def last_line(result: dict, details_path: str) -> str:
+    """The compact last stdout line: every field of `result` except
+    DETAIL_KEYS, plus `details`; nested dicts are dropped too if the line
+    would still exceed LAST_LINE_MAX."""
+    head = {k: v for k, v in result.items() if k not in DETAIL_KEYS}
+    head["details"] = details_path
+    line = json.dumps(head)
+    if len(line) > LAST_LINE_MAX:
+        head = {k: v for k, v in head.items() if not isinstance(v, dict)}
+        line = json.dumps(head)
+    return line
+
+
+def emit(result: dict, name: str) -> None:
+    path = os.path.join(BENCH_ROOT, f"last-{name}.json")
+    with open(path, "w") as f:
+        json.dump(result, f)
+    print(last_line(result, path))
+
+
 def _host_mp_ceiling(lo: int = 8, hi: int = 32) -> dict:
     """Pure-Python busy-loop multiprocessing throughput at lo vs hi workers:
     the host's OWN scaling ceiling (shared/throttled sandbox CPUs), reported
@@ -372,7 +398,7 @@ def main() -> None:
             "throughput_turns_per_sec": thr,
             "legs": legs,
         }
-        print(json.dumps(result))
+        emit(result, "scaling")
         return
 
     res = run_build_and_query(num_cpus, args.sf_dir, with_suite=True)
@@ -385,7 +411,7 @@ def main() -> None:
         "sf": _sf_label(args.sf_dir),
         **res,
     }
-    print(json.dumps(result))
+    emit(result, "bench")
 
     import ray
 

@@ -1975,23 +1975,6 @@ WHERE v.vm < q.q1 - (3 * (q.q3 - q.q1)) // 2
 """
 
 
-def q_approx_distinct_users(sf_dir: str) -> pd.DataFrame:
-    """HyperLogLog approximate distinct user_id count over events (the
-    mergeable-sketch operator; ~1.6% standard error at p=12).  Rows-only
-    driver check; error vs the exact count pinned in pytest."""
-    from oboyu_ray.stages.sketch import approx_distinct
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    out = approx_distinct(ev, "user_id")
-    return pd.DataFrame(
-        {
-            "column": ["user_id"],
-            "estimate": pd.array([out["estimate"]], dtype="int64"),
-            "registers": pd.array([out["registers"]], dtype="int64"),
-        }
-    )
-
-
 def q_doc_embeddings(sf_dir: str) -> "ray.data.Dataset":
     """Actor-pool embedding stage over documents (deterministic fake model;
     real model stubbed — see functions/embed.py).  Emits hash-friendly
@@ -2266,9 +2249,9 @@ def q_join_revenue(sf_dir: str) -> "ray.data.Dataset":
         )
 
     # final reduce: the aggregate key space is a bounded constant
-    # (|priorities| × |returnflags| = 15), so per-bucket partials fold on the
-    # driver — same shape as the HLL register merge — instead of paying a
-    # second all-to-all sort-shuffle for a 15-row result
+    # (|priorities| × |returnflags| = 15), so per-bucket partials fold in
+    # this process instead of paying a second all-to-all sort-shuffle for a
+    # 15-row result
     parts = [
         b.to_pandas()
         for b in joined.map_batches(partial, batch_format="pyarrow").iter_batches(
@@ -2401,17 +2384,6 @@ SELECT min(doc_id) AS doc_id, count(*)::BIGINT AS n_dups
 FROM gated
 GROUP BY md5(trim(regexp_replace(lower(text), '[ \t\n\r\f\v]+', ' ', 'g'), ' '))
 """
-
-
-def q_approx_distinct_by_type(sf_dir: str) -> "ray.data.Dataset":
-    """Grouped HLL: approximate distinct users per event type (mergeable
-    4 KB register partials per (batch, group); the shuffle moves sketches,
-    never raw user ids).  Rows-only driver check; per-group error vs exact
-    pinned in pytest."""
-    from oboyu_ray.stages.sketch import approx_distinct_by_group
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
-    return approx_distinct_by_group(ev, "event_type", "user_id")
 
 
 def q_dedup_incremental(sf_dir: str) -> "ray.data.Dataset":
@@ -5998,7 +5970,6 @@ def corpus_queries() -> dict:
         "sessionize": q_sessionize,
         "transcript_engine_topk": q_transcript_engine_topk,
         "doc_embeddings": q_doc_embeddings,
-        "approx_distinct_users": q_approx_distinct_users,
         "interval_join": q_interval_join,
         "topk_per_group": q_topk_per_group,
         "heavy_hitters": q_heavy_hitters,
@@ -6014,7 +5985,6 @@ def corpus_queries() -> dict:
         "corpus_profile": q_corpus_profile,
         "clean_corpus": q_clean_corpus,
         "doc_surprisal": q_doc_surprisal,
-        "approx_distinct_by_type": q_approx_distinct_by_type,
         "embedding_clusters": q_embedding_clusters,
         "price_quantiles_sketch": q_price_quantiles_sketch,
         "pack_sequences": q_pack_sequences,

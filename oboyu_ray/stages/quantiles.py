@@ -378,8 +378,8 @@ class QuantileSketch:
     that operator gives exact answers in O(log) refinement ROUNDS over the
     data; the sketch gives eps-approximate ranks in ONE pass with a
     4-ish KB mergeable state — the shape a 100 TB telemetry pipeline ships
-    from every task (same contract as the HLL registers: associative,
-    commutative up to the documented determinism order, tiny)."""
+    from every task (associative, commutative up to the documented
+    determinism order, tiny)."""
 
     def __init__(self, capacity: int = SKETCH_CAPACITY):
         self.capacity = int(capacity)
@@ -422,7 +422,7 @@ class QuantileSketch:
         self._cascade()
         return self
 
-    # -- serialization (one binary blob per task, like the HLL registers)
+    # -- serialization (one binary blob per task)
 
     def to_bytes(self) -> bytes:
         import struct
@@ -511,7 +511,7 @@ def value_histogram(
     ``min(floor((v - mn) / w), n_bins - 1)`` — the exact expression the SQL
     oracle runs, so bin membership agrees bit-for-bit (same discipline as
     the exact-quantiles boundary floats).  Bin counts are bounded state
-    (n_bins ints) folded on the driver like the HLL registers.
+    (n_bins ints) folded in the calling process.
 
     The input executes TWICE (min/max pass, then the binning pass) without
     an intermediate materialization: for the common case — a pruned parquet

@@ -1307,8 +1307,8 @@ def dense_daily_agg(
     Shape: in-batch ``group_by(day)`` partials (a batch shrinks to its
     distinct days before leaving the task) → driver fold.  The fold key
     space is bounded by CALENDAR TIME, not data size (decades ≈ 10⁴ days),
-    so the driver fold is the cheap exact plan — same justification as the
-    HLL register merge; no shuffle at all."""
+    so folding in the calling process is the cheap exact plan; no shuffle
+    at all."""
     import pandas as pd
 
     from oboyu_ray.fixedpoint import micros

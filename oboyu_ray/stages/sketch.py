@@ -1,35 +1,18 @@
-"""Mergeable sketches — approximate distinct counting (HyperLogLog) and
-EXACT heavy hitters via Misra-Gries candidate generation.
-
-The "novel sketch" custom-operator axis of the brief: exact COUNT DISTINCT
-over 10^12 rows needs a full shuffle of the key column; an HLL register
-array is a fixed ~2^p bytes per batch, merges with an elementwise max, and
-answers within ~1.04/sqrt(2^p) relative error.  Expressed Ray-Data-first:
-``map_batches`` emits one register-array partial per batch, the driver (or
-any tree of combiners) merges with ``np.maximum`` — associative,
-commutative, resumable.
+"""Mergeable sketches — EXACT heavy hitters via Misra-Gries candidate
+generation, plus the shared vectorized 64-bit hash the other stages use.
 
 Hashing is a fully vectorized 64-bit FNV-1a + splitmix64 finalizer computed
 directly over the Arrow string column's offsets/data buffers (O(max string
-length) numpy passes per batch, no per-row Python).  With 64-bit hashes the
-register rank spans the low 64-p bits, so the classic large-range
-correction is unnecessary at ANY practical cardinality (the 32-bit-hash
-variant saturates near 1.4e8 distinct — far below the target scale).
-Small-range linear counting applies as usual.
+length) numpy passes per batch, no per-row Python).
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-
-HLL_P = 12  # 4096 registers → ~1.6% standard error
-HLL_M = 1 << HLL_P
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -50,7 +33,7 @@ def _hash64(col) -> np.ndarray:
     hashed as their UTF-8 string rendering (matching ``str(v)`` for
     ints/strings).  FNV-1a over the raw string buffer — one numpy pass per
     byte position up to the batch's max length — then splitmix64 to spread
-    entropy into the high bits the register index uses."""
+    entropy into the high bits (bucket and band indices take those)."""
     if not isinstance(col, (pa.Array, pa.ChunkedArray)):
         col = pa.array([str(v) for v in col], type=pa.string())
     if not pa.types.is_string(col.type) and not pa.types.is_large_string(col.type):
@@ -78,67 +61,6 @@ def _hash64(col) -> np.ndarray:
             b = data[starts[m] + i].astype(np.uint64)
             h[m] = (h[m] ^ b) * _FNV_PRIME
     return _splitmix64(h)
-
-
-def hll_partial(values) -> np.ndarray:
-    """One batch of values → (HLL_M,) uint8 register array."""
-    h = _hash64(values)
-    regs = np.zeros(HLL_M, dtype=np.uint8)
-    if len(h) == 0:
-        return regs
-    idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    rest = (h << np.uint64(HLL_P)).astype(np.uint64)
-    # rank ρ = leading zeros of the shifted suffix + 1; an all-zero suffix
-    # gets the max rank 64-P+1.  rest = h << P keeps the suffix in the top
-    # bits, so its 64-bit leading-zero count IS the suffix's, and a nonzero
-    # suffix has ρ ≤ 64-P+1 automatically (the low P bits are zero).
-    lz = np.full(len(h), 64 - HLL_P + 1, dtype=np.int64)
-    nz = rest != 0
-    r = rest[nz]
-    bits = np.zeros(len(r), dtype=np.int64)  # bit_length - 1
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = (r >> np.uint64(shift)) != 0
-        bits[step] += shift
-        r = np.where(step, r >> np.uint64(shift), r)
-    bl = bits + 1  # bit_length of nonzero suffixes
-    lz[nz] = 64 - bl + 1  # leading zeros + 1
-    np.maximum.at(regs, idx, lz.astype(np.uint8))
-    return regs
-
-
-def hll_estimate(regs: np.ndarray) -> float:
-    """Registers → cardinality estimate (with small-range correction; no
-    large-range correction needed at 64-bit hash width)."""
-    m = float(HLL_M)
-    alpha = 0.7213 / (1 + 1.079 / m)
-    est = alpha * m * m / np.sum(np.power(2.0, -regs.astype(np.float64)))
-    zeros = int(np.sum(regs == 0))
-    if est <= 2.5 * m and zeros > 0:
-        est = m * np.log(m / zeros)  # linear counting
-    return float(est)
-
-
-def approx_distinct(
-    ds: "ray.data.Dataset", column: str
-) -> dict:
-    """Distributed approximate distinct count of ``column``.
-
-    map_batches → per-batch register partials (4 KB each) → driver merge by
-    elementwise max.  Returns {"estimate": int, "registers": m}.  At cluster
-    scale the merge nests into a combiner tree exactly like the vocabulary
-    partials — register arrays are associative/commutative state."""
-
-    def partial(batch: pa.Table) -> Iterator[pa.Table]:
-        regs = hll_partial(batch.column(column))
-        yield pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
-
-    merged = np.zeros(HLL_M, dtype=np.uint8)
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for payload in b.column("regs").to_pylist():
-            merged = np.maximum(merged, np.frombuffer(payload, dtype=np.uint8))
-    return {"estimate": int(round(hll_estimate(merged))), "registers": HLL_M}
 
 
 # ---------------------------------------------------------------- heavy hitters
@@ -268,52 +190,4 @@ def heavy_hitters(
     return exact.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("n_occurrences"), threshold)),
         batch_format="pyarrow",
-    )
-
-
-def approx_distinct_by_group(
-    ds: "ray.data.Dataset", group_col: str, value_col: str
-) -> "ray.data.Dataset":
-    """Grouped HLL: approximate distinct ``value_col`` per ``group_col``.
-
-    Per-batch, per-group register partials (4 KB per (batch, group)) →
-    groupby(group) merges registers by elementwise max (associative /
-    commutative, so any combiner tree is exact-equivalent) → one estimate
-    row per group.  The shuffle moves #batches × #groups sketch rows, never
-    raw values — the per-segment cardinality report (users per event type,
-    tokens per language, …) at any corpus size."""
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        groups = batch.column(group_col).to_pandas()
-        out_g: list = []
-        out_r: list = []
-        for gval, idx in groups.groupby(groups, sort=False).groups.items():
-            sub = batch.take(pa.array(np.asarray(idx, dtype=np.int64)))
-            out_g.append(gval)
-            out_r.append(hll_partial(sub.column(value_col)).tobytes())
-        return pa.table(
-            {
-                group_col: pa.array(out_g),
-                "regs": pa.array(out_r, type=pa.binary()),
-            }
-        )
-
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        merged = np.zeros(HLL_M, dtype=np.uint8)
-        for payload in g["regs"]:
-            merged = np.maximum(merged, np.frombuffer(payload, dtype=np.uint8))
-        return pd.DataFrame(
-            {
-                group_col: [g[group_col].iloc[0]],
-                "approx_distinct": np.array(
-                    [int(round(hll_estimate(merged)))], dtype=np.int64
-                ),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(reduce, batch_format="pandas")
     )

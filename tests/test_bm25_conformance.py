@@ -22,7 +22,6 @@ from oboyu_ray.stages.stats import collection_stats, idf, vocabulary
 from oboyu_ray.sources.transcripts import synth_transcripts_table
 from tests.reference_oracle import load_reference, reference_topk
 
-REF = load_reference()
 CFG = BM25Config()
 
 # Reference-mirror fixture corpus — same texts as the reference's own BM25
@@ -49,8 +48,9 @@ def docs_table(pairs):
 
 
 def build_reference_index(pairs):
-    idx = REF.BM25Indexer()
-    idx.index_chunks([REF.make_chunk(i, c) for i, c in pairs])
+    ref = load_reference()
+    idx = ref.BM25Indexer()
+    idx.index_chunks([ref.make_chunk(i, c) for i, c in pairs])
     return idx
 
 

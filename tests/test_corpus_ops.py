@@ -399,22 +399,6 @@ def test_index_directory_end_to_end(tmp_path):
     engine.close()
 
 
-def test_hll_approx_distinct(entrymod, duck):
-    out = _as_df(entrymod.queries()["approx_distinct_users"](SF))
-    exact = duck.execute("SELECT count(DISTINCT user_id) FROM events").fetchone()[0]
-    est = int(out["estimate"].iloc[0])
-    assert abs(est - exact) / exact < 0.05  # p=12 → ~1.6% standard error
-    # determinism + merge associativity (order-independent partials)
-    import numpy as np
-
-    from oboyu_ray.stages.sketch import hll_estimate, hll_partial
-
-    vals = [f"u{i}" for i in range(2000)]
-    a = np.maximum(hll_partial(vals[:700]), hll_partial(vals[700:]))
-    b = np.maximum(hll_partial(vals[1300:]), hll_partial(vals[:1300]))
-    assert hll_estimate(a) == hll_estimate(b)
-
-
 def test_whitespace_class_pinned_vs_duckdb():
     """Python and DuckDB whitespace handling is pinned to the same explicit
     ASCII class (+ explicit space-only trim): U+3000 ideographic spaces and
@@ -1722,17 +1706,6 @@ def test_doc_surprisal_model_and_oov():
     s_mid = int(_micros(-np.log(4 / 16)))
     assert out["mean_surprisal_micros"][2] == s_mid
     assert out["mean_surprisal_micros"][3] == oov
-
-
-def test_grouped_hll_error_bounds(entrymod, duck):
-    got = _as_df(entrymod.queries()["approx_distinct_by_type"](SF)).set_index("event_type")
-    exact = duck.execute(
-        "SELECT event_type, count(DISTINCT user_id) AS n FROM events GROUP BY 1"
-    ).fetchdf().set_index("event_type")
-    assert set(got.index) == set(exact.index)
-    for et in exact.index:
-        e, a = int(exact.loc[et, "n"]), int(got.loc[et, "approx_distinct"])
-        assert abs(a - e) / e < 0.05, (et, e, a)  # 3x the 1.6% std error
 
 
 def test_kmeans_summary_matches_scalar_reference(entrymod):

@@ -39,6 +39,10 @@ TABLES = (
 # partitioned sort boundaries, decile concentration thresholds, weighted
 # sampling margins, sketch deficit tracking, distributed prefix scan,
 # cogroup window scans, witness-merge aggregates, and the skyline fold.
+# cluster_representatives (hash_join + topk_per_group) and
+# top_terms_per_lang (topk_per_group_str) cover the join bucket spill and the
+# two-level top-k from documents-only inputs, so that coverage does not
+# depend on the relational queries above.
 HEAVY_QUERIES = [
     "dismax_topk",
     "boosted_topk",
@@ -73,6 +77,8 @@ HEAVY_QUERIES = [
     "price_ship_frontier",
     "waiting_suppliers",
     "large_volume_customers",
+    "cluster_representatives",
+    "top_terms_per_lang",
 ]
 
 

@@ -20,8 +20,6 @@ from oboyu_ray.pipelines.build_index import build_index
 from oboyu_ray.pipelines.query import QueryEngine
 from tests.reference_oracle import load_reference, reference_topk
 
-REF = load_reference()
-
 # small word pool with deliberate hazards: stopwords, 1-char tokens
 # (length-filtered), JP/EN mix, a near-universal term
 WORDS = ["検索", "index", "の", "です", "a", "データ", "処理", "x1", "モデル", "the", "común"]
@@ -41,13 +39,18 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("prop")
 
 
+@pytest.fixture(scope="module")
+def ref():
+    return load_reference()
+
+
 @settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(corpus=corpus_strategy, qterms=query_strategy, data=st.data())
-def test_random_corpus_rank_identity(corpus, qterms, data, workdir):
+def test_random_corpus_rank_identity(corpus, qterms, data, workdir, ref):
     import shutil
     import uuid
 
@@ -81,12 +84,12 @@ def test_random_corpus_rank_identity(corpus, qterms, data, workdir):
     build_index([f], index_dir, BuildConfig(window_docs=8, vocab_buckets=4), files_per_part=1)
 
     # reference oracle over the same (doc_id, text) pairs
-    ridx = REF.BM25Indexer()
+    ridx = ref.BM25Indexer()
     pairs = sorted(
         (f"{c}:{ti:08d}", t)
         for c, ti, t in zip(rows["conv_id"], rows["turn_idx"], rows["text"])
     )
-    ridx.index_chunks([REF.make_chunk(i, c) for i, c in pairs])
+    ridx.index_chunks([ref.make_chunk(i, c) for i, c in pairs])
 
     engine = QueryEngine(index_dir, num_shards=1)
     try:

@@ -17,10 +17,9 @@ from oboyu_ray.functions.tokenize import (
 from oboyu_ray.sources.transcripts import synth_transcripts_table
 from tests.reference_oracle import load_reference
 
-REF = load_reference()
-
 
 def test_reference_uses_fallback_in_sandbox():
+    REF = load_reference()
     assert not REF.HAS_JAPANESE_TOKENIZER
     tok = REF.create_tokenizer(language="ja", min_token_length=2, use_stopwords=False)
     assert type(tok).__name__ == "FallbackTokenizer"
@@ -41,6 +40,7 @@ def test_reference_uses_fallback_in_sandbox():
     ],
 )
 def test_token_stream_matches_reference(text):
+    REF = load_reference()
     # the LIVE indexing tokenizer: TokenizerService(language, {min_token_length})
     # → use_stopwords defaults True (bm25_indexer.py:82, tokenizer.py:333)
     ref_svc = REF.TokenizerService("ja", {"min_token_length": 2})
@@ -51,6 +51,7 @@ def test_token_stream_matches_reference(text):
 
 @pytest.mark.parametrize("use_stopwords", [False, True])
 def test_token_stream_matches_reference_both_modes(use_stopwords):
+    REF = load_reference()
     ref_tok = REF.create_tokenizer(language="ja", min_token_length=2, use_stopwords=use_stopwords)
     ours = create_tokenizer(language="ja", min_token_length=2, use_stopwords=use_stopwords)
     for text in ["Python の programming です", "これはテストです the and of",
@@ -59,6 +60,7 @@ def test_token_stream_matches_reference_both_modes(use_stopwords):
 
 
 def test_token_stream_matches_reference_with_stopwords():
+    REF = load_reference()
     ref_tok = REF.create_tokenizer(language="ja", min_token_length=2, use_stopwords=True)
     ours = create_tokenizer(language="ja", min_token_length=2, use_stopwords=True)
     for text in ["the quick brown fox", "これはテストです", "search the index of です"]:
@@ -66,6 +68,7 @@ def test_token_stream_matches_reference_with_stopwords():
 
 
 def test_stopword_set_matches_reference():
+    load_reference()  # registers oboyu.common.stop_words
     import sys
 
     ref_sw = sys.modules["oboyu.common.stop_words"].DEFAULT_JAPANESE_STOP_WORDS
@@ -81,6 +84,7 @@ def test_min_token_length_filter():
 
 
 def test_contiguous_japanese_runs_are_single_tokens():
+    REF = load_reference()
     t = FallbackTokenizer()
     # exact parity with the reference is the assertion:
     ref = REF.create_tokenizer(language="ja", min_token_length=2, use_stopwords=False)
@@ -89,6 +93,7 @@ def test_contiguous_japanese_runs_are_single_tokens():
 
 
 def test_synth_corpus_token_streams_match_reference():
+    REF = load_reference()
     tbl = synth_transcripts_table(seed=42, conv_start=0, conv_end=120)
     ref_tok = REF.TokenizerService("ja", {"min_token_length": 2})
     ours = default_tokenizer()
