@@ -3,11 +3,18 @@
 fugashi/unidic are absent in this sandbox, so the morphological path is
 normally gate-skipped.  Here a FAKE fugashi module (a lexicon-driven Tagger
 emitting .surface/.feature nodes, the exact interface both sides consume)
-is injected into sys.modules, BOTH tokenizers are imported fresh under the
-gate, and their outputs are compared over scenarios covering every branch
-of the reference loop (tokenizer.py:95-172): POS excludes, subcategory
-excludes, lemmatization incl. the non-Japanese-suffix rule, min length,
-stopwords, and the non-str feature (UnidicFeatures-like) path.
+is injected into sys.modules by the ``fake_mecab_gate`` fixture, and our
+tokenizer is re-imported fresh under the gate.
+
+``test_mecab_expected_filtering`` needs only that gate: it checks our
+tokenizer against the fake LEXICON and the filtering rules written out in
+its comments.  The other three tests also load the reference tokenizer and
+stop words (``REF_TOK``, ``REF_STOP_WORDS``) under the same gate and compare
+the two over scenarios covering every branch of the reference loop
+(tokenizer.py:95-172): POS excludes, subcategory excludes, lemmatization
+incl. the non-Japanese-suffix rule, min length, stopwords, and the non-str
+feature (UnidicFeatures-like) path.  On teardown the gate is lifted and our
+tokenizer is reloaded gate-off, also when the reference fails to load.
 """
 
 from __future__ import annotations
@@ -16,10 +23,12 @@ import importlib
 import importlib.util
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 REF_TOK = "/root/reference/src/oboyu/common/services/tokenizer.py"
+REF_STOP_WORDS = str(Path(REF_TOK).parents[1] / "stop_words.py")
 
 # fake lexicon: surface → feature CSV (unidic-style: pos,subpos1,subpos2,
 # ...,[7]=lemma).  Scenarios cover each filter branch.
@@ -70,7 +79,7 @@ class _FakeTagger:
 
 
 @pytest.fixture()
-def both_tokenizers():
+def fake_mecab_gate():
     fake = types.ModuleType("fugashi")
     fake.Tagger = _FakeTagger
     fake_unidic = types.ModuleType("unidic_lite")
@@ -86,27 +95,7 @@ def both_tokenizers():
     sys.modules["unidic_lite"] = fake_unidic
     sys.modules["jaconv"] = fake_jaconv
     try:
-        # fresh import of the REFERENCE tokenizer under the gate
-        sys.modules.setdefault("oboyu", types.ModuleType("oboyu"))
-        spec = importlib.util.spec_from_file_location("_ref_tok_mecab", REF_TOK)
-        ref_mod = importlib.util.module_from_spec(spec)
-        # the reference module imports oboyu.common.stop_words
-        sw_spec = importlib.util.spec_from_file_location(
-            "oboyu.common.stop_words", "/root/reference/src/oboyu/common/stop_words.py"
-        )
-        sw_mod = importlib.util.module_from_spec(sw_spec)
-        sys.modules["oboyu.common.stop_words"] = sw_mod
-        sw_spec.loader.exec_module(sw_mod)
-        spec.loader.exec_module(ref_mod)
-        assert ref_mod.HAS_JAPANESE_TOKENIZER
-
-        # fresh import of OUR tokenizer under the gate
-        import oboyu_ray.functions.tokenize as ours_mod
-
-        ours_mod = importlib.reload(ours_mod)
-        assert ours_mod.HAS_JAPANESE_TOKENIZER
-
-        yield ref_mod, ours_mod
+        yield
     finally:
         for k, v in saved.items():
             if v is None:
@@ -116,6 +105,32 @@ def both_tokenizers():
         import oboyu_ray.functions.tokenize as ours_mod
 
         importlib.reload(ours_mod)  # restore the gate-off state
+
+
+@pytest.fixture()
+def ours_tokenizer(fake_mecab_gate):
+    # fresh import of OUR tokenizer under the gate
+    import oboyu_ray.functions.tokenize as ours_mod
+
+    ours_mod = importlib.reload(ours_mod)
+    assert ours_mod.HAS_JAPANESE_TOKENIZER
+    return ours_mod
+
+
+@pytest.fixture()
+def both_tokenizers(ours_tokenizer):
+    # fresh import of the REFERENCE tokenizer under the gate
+    sys.modules.setdefault("oboyu", types.ModuleType("oboyu"))
+    spec = importlib.util.spec_from_file_location("_ref_tok_mecab", REF_TOK)
+    ref_mod = importlib.util.module_from_spec(spec)
+    # the reference module imports oboyu.common.stop_words
+    sw_spec = importlib.util.spec_from_file_location("oboyu.common.stop_words", REF_STOP_WORDS)
+    sw_mod = importlib.util.module_from_spec(sw_spec)
+    sys.modules["oboyu.common.stop_words"] = sw_mod
+    sw_spec.loader.exec_module(sw_mod)
+    spec.loader.exec_module(ref_mod)
+    assert ref_mod.HAS_JAPANESE_TOKENIZER
+    return ref_mod, ours_tokenizer
 
 
 TEXTS = [
@@ -140,9 +155,8 @@ def test_mecab_path_matches_reference(both_tokenizers):
                 assert ours.tokenize(t) == ref.tokenize(t), (t, use_pos, use_lemma)
 
 
-def test_mecab_expected_filtering(both_tokenizers):
-    _, ours_mod = both_tokenizers
-    tok = ours_mod.JapaneseTokenizer(min_token_length=2)
+def test_mecab_expected_filtering(ours_tokenizer):
+    tok = ours_tokenizer.JapaneseTokenizer(min_token_length=2)
     out = tok.tokenize("犬 犬猫 これ して 歩いた 走った coded です 綺麗 、 novel")
     assert out == ["イヌネコ", "歩く", "走る-ハシル", "coded", "綺麗だ", "novel"]
     # 犬: length<2; これ/して: subcategory excludes; です: excluded POS;

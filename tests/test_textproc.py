@@ -124,7 +124,7 @@ def test_normalizers_match_reference(ref, method):
         assert abs(s - ref_map[did]) < 1e-12
 
 
-def test_normalizers_degenerate_unchanged(ref):
+def test_normalizers_degenerate_unchanged():
     import pandas as pd
 
     frame = pd.DataFrame({"doc_id": ["a", "b"], "score": [0.5, 0.5]})
