@@ -32,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import time
+import traceback
 
 DEFAULT_SF_DIR = "/root/testdata/sf0.1"
 BENCH_ROOT = "/tmp/oboyu_bench"
@@ -183,7 +184,7 @@ def run_build_and_query(num_cpus: int, sf_dir: str, with_suite: bool, n_convs: i
 
     if with_suite:
         out.update(run_feature_latency(files, num_cpus))
-        out["queries"] = run_query_suite(sf_dir)
+        out.update(run_query_suite(sf_dir))
     return out
 
 
@@ -265,7 +266,10 @@ def run_feature_latency(files: list, num_cpus: int) -> dict:
 
 
 def run_query_suite(sf_dir: str) -> dict:
-    """Time each driver-contract queries() entry over sf_dir (seconds)."""
+    """Time each driver-contract queries() entry over sf_dir: `queries`
+    maps a name to seconds.  A query that raises is recorded in `failed`
+    as "ErrType: msg" and the suite goes on, so the last line still
+    prints."""
     import pandas as pd
     import pyarrow as pa
     import ray.data
@@ -273,18 +277,23 @@ def run_query_suite(sf_dir: str) -> dict:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import __ray_entry__ as entrymod
 
-    timings = {}
+    timings, failed = {}, {}
     for name, fn in entrymod.queries().items():
         t0 = time.time()
-        res = fn(sf_dir)
-        if isinstance(res, ray.data.Dataset):
-            # consume the stream (count() executes the full pipeline here:
-            # every query ends in a map/aggregate, not a metadata-only read)
-            res.count()
-        elif isinstance(res, (pd.DataFrame, pa.Table)):
-            len(res)
+        try:
+            res = fn(sf_dir)
+            if isinstance(res, ray.data.Dataset):
+                # consume the stream (count() executes the full pipeline here:
+                # every query ends in a map/aggregate, not a metadata-only read)
+                res.count()
+            elif isinstance(res, (pd.DataFrame, pa.Table)):
+                len(res)
+        except Exception as e:  # one broken query must not lose the suite
+            traceback.print_exc(file=sys.stderr)
+            failed[name] = f"{type(e).__name__}: {e}"[:200]
+            continue
         timings[name] = round(time.time() - t0, 3)
-    return timings
+    return {"queries": timings, "failed": failed}
 
 
 def last_line(result: dict, details_path: str) -> str:

@@ -63,12 +63,15 @@ class BuildConfig:
     # the per-partition build tasks
     window_docs: int = 8_192
     # vocabulary aggregation: term partials are hash-bucketed (stable crc32)
-    # into this many disjoint buckets at tokenize time; one task per bucket
-    # then does a C++ (pyarrow) group_by — a deterministic file-based
-    # two-phase aggregation instead of a Ray Data groupby shuffle (measured
-    # ~30x faster at sandbox scale, and each bucket is an independent,
-    # checkpointable unit).  At 10^6+ partitions add a combiner tree level
-    # (partials-of-partials per partition range) to bound files per bucket.
+    # into this many disjoint buckets at tokenize time (one partials file
+    # per partition, one row group per bucket); min(buckets, partitions)
+    # tasks, each over a bucket range, then do a C++ (pyarrow) group_by — a
+    # deterministic file-based two-phase aggregation instead of a Ray Data
+    # groupby shuffle (measured ~30x faster on a small corpus, and each
+    # bucket is an independent, checkpointable unit).  Every reduce task
+    # opens every partials file once, so at 10^6+ partitions add a combiner
+    # tree level (partials-of-partials per partition range) to bound the
+    # files each task opens.
     vocab_buckets: int = 32
     # opt-in positional index (reference BM25Indexer(store_positions=True),
     # bm25_indexer.py:38 — the reference allocates the slot but never fills

@@ -112,9 +112,3 @@ def normalize_batch(
             "width_converted": pa.array(converted, type=pa.bool_()),
         }
     )
-
-
-def whitespace_normalize(text: str) -> str:
-    """SURVEY §2-M3 (indexer/core/text_normalizer.py:13-27): collapse all
-    whitespace runs to single spaces and strip."""
-    return re.sub(r"\s+", " ", text).strip()

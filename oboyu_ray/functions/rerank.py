@@ -100,16 +100,3 @@ def rerank(
     out["rerank_score"] = scores
     out = out.sort_values("rerank_score", ascending=False, kind="mergesort")
     return out.head(top_k).reset_index(drop=True)
-
-
-def search_with_rerank(
-    engine,
-    query: str,
-    k: int = 10,
-    multiplier: int = DEFAULT_TOP_K_MULTIPLIER,
-    encoder=None,
-) -> pd.DataFrame:
-    """End-to-end reranked search: BM25 top-(k×multiplier) with hydration →
-    cross-encoder re-sort → top-k (the §3.2 step-5 flow)."""
-    cand = engine.search(query, k=k * multiplier, hydrate=True)
-    return rerank(query, cand, k, encoder=encoder)

@@ -194,12 +194,6 @@ def highlight_matches(
     return out
 
 
-def highlight_query(text: str, query: str, case_sensitive: bool = False) -> str:
-    if not query:
-        return text
-    return highlight_matches(text, query.split(), case_sensitive)
-
-
 def remove_highlights(text: str) -> str:
     return re.sub(r"\*\*(.*?)\*\*", r"\1", text)
 

@@ -32,9 +32,15 @@ Phases (each checkpointed via state/checkpoint.py, resumable, atomic):
                   prefix offsets (the only global ordering pass; conv-level,
                   ~1/100th of turn rows).
   A. tokenize   — per-partition task: docs → postings (term, doc_num, tf, dl)
-                  sorted by (term, doc_num) + per-doc dl table; emits
-                  per-partition term partials for the vocabulary.
-  B. vocabulary — groupby(term) over partials → vocab parquet + stats.json
+                  sorted by (term, doc_num) + per-doc dl table; emits the
+                  partition's term partials (term, df, cf) for the
+                  vocabulary as ONE file, vocab_partials/p{part}.parquet,
+                  sorted by bucket = crc32(term) % B, one row group per
+                  bucket.
+  B. vocabulary — min(B, #partials files) tasks, each over a contiguous
+                  bucket range: read the range's row groups of every
+                  partials file, groupby(bucket, term) → one
+                  vocab-{b}.parquet per bucket + stats.json
                   (N, total_dl, avgdl).
   C. blocks     — per-partition task: postings → aligned-window compressed
                   posting blocks (delta+varint docs, varint tfs, per-block
@@ -151,7 +157,7 @@ def _build_conv_map_disjoint(
     local_dir = out_dir + ".local"
     os.makedirs(local_dir, exist_ok=True)
     # clear prior map files: a rebuild with fewer inputs must not leave stale
-    # higher-rank files behind (load_conv_offsets reads the whole directory)
+    # higher-rank files behind (ConvMapHandle reads the whole directory)
     for f in os.listdir(out_dir):
         if f.endswith(".parquet"):
             os.remove(os.path.join(out_dir, f))
@@ -459,18 +465,13 @@ class ConvMapHandle:
         return conv, turn
 
 
-def load_conv_offsets(index_dir: str):
-    """Back-compat shim: (sorted conv_id array, conv_offset array) for
-    broadcast — the inmem arrays of ConvMapHandle."""
-    h = ConvMapHandle(index_dir, inmem_limit=np.iinfo(np.int64).max)
-    return h._ids, h._offs
-
-
 def _gc_stale_partitions(index_dir: str, part_ids: List[int]) -> None:
     """Remove artifacts of partitions that no longer exist (fewer input
-    files than a previous build): their docs/postings/dls/blocks/partials
-    and phase manifests.  Without this, the vocabulary reduce (which globs
-    the partials directory) would count documents from removed partitions —
+    files than a previous build): their docs/postings/dls/blocks and phase
+    manifests.  Every partials file but ``p{part}.parquet`` of a current
+    partition goes too (removed partitions, the per-bucket layout, merge
+    partials): the vocabulary reduce reads the whole partials directory and
+    would otherwise count documents twice or from removed partitions —
     inflated df/cf against the current N."""
     import re as _re
 
@@ -480,7 +481,6 @@ def _gc_stale_partitions(index_dir: str, part_ids: List[int]) -> None:
         "postings": _re.compile(r"postings-(\d{5})\.parquet$"),
         "dls": _re.compile(r"dls-(\d{5})\.parquet$"),
         "blocks": _re.compile(r"blocks-(\d{5})\.parquet$"),
-        "vocab_partials": _re.compile(r"b\d{4}-p(\d{5})\.parquet$"),
     }
     for sub, pat in pat_by_dir.items():
         d = os.path.join(index_dir, sub)
@@ -490,6 +490,11 @@ def _gc_stale_partitions(index_dir: str, part_ids: List[int]) -> None:
             m = pat.search(f)
             if m and int(m.group(1)) not in keep:
                 os.remove(os.path.join(d, f))
+    pdir = os.path.join(index_dir, "vocab_partials")
+    keep_partials = {f"p{p:05d}.parquet" for p in keep}
+    for f in os.listdir(pdir) if os.path.isdir(pdir) else []:
+        if f.endswith(".parquet") and f not in keep_partials:
+            os.remove(os.path.join(pdir, f))
     for phase in ("ingest", "tokenize", "blocks"):
         d = os.path.join(index_dir, "manifests", phase)
         if not os.path.isdir(d):
@@ -624,45 +629,69 @@ def ingest(
 
 # --------------------------------------------------------------- phase A
 
-def _vocab_bucket_ids(terms: List[str], n_buckets: int) -> np.ndarray:
-    """Stable (cross-run, cross-version) term → bucket assignment."""
+PARTIALS_SCHEMA = pa.schema(
+    [
+        ("term", pa.string()),
+        ("df_partial", pa.int64()),
+        ("cf_partial", pa.int64()),
+        ("bucket", pa.int32()),
+    ]
+)
+# names the vocab_partials layout in the tokenize lineage, so checkpoints
+# written under another layout (one file per bucket) re-tokenize
+PARTIALS_FORMAT = "part-file-bucket-row-groups"
+
+
+def _vocab_bucket_ids(terms: pa.ChunkedArray, n_buckets: int) -> np.ndarray:
+    """Stable (cross-run, cross-version) term → bucket assignment:
+    crc32(utf-8 term) % n_buckets.  The utf-8 bytes come straight from the
+    Arrow string column (a binary cast), not from per-term ``str.encode``."""
     import zlib
 
-    return np.fromiter(
-        (zlib.crc32(t.encode("utf-8")) % n_buckets for t in terms),
-        dtype=np.int64,
-        count=len(terms),
+    raw = terms.cast(pa.binary()).to_numpy(zero_copy_only=False)
+    crc = np.fromiter(map(zlib.crc32, raw), dtype=np.uint32, count=len(raw))
+    return (crc % n_buckets).astype(np.int32)
+
+
+def _write_partials_file(path: str, partials: pa.Table, buckets: np.ndarray) -> None:
+    """Write (term, df_partial, cf_partial) rows and their int32 bucket ids as ONE
+    parquet file, sorted by bucket with one row group per non-empty bucket:
+    the reducer picks its buckets' row groups from the footer's ``bucket``
+    statistics.  A table without rows writes a file without row groups."""
+    order = np.argsort(buckets, kind="stable")
+    sb = buckets[order]
+    t = (
+        partials.take(pa.array(order))
+        .append_column("bucket", pa.array(sb, type=pa.int32()))
+        .cast(PARTIALS_SCHEMA)
     )
+    starts = np.flatnonzero(np.diff(sb, prepend=-1))  # bucket ids are >= 0
+    ends = np.append(starts[1:], len(sb))
+    tmp = path + ".tmp"
+    with pq.ParquetWriter(tmp, PARTIALS_SCHEMA) as w:
+        for s, e in zip(starts, ends):
+            w.write_table(t.slice(int(s), int(e - s)), row_group_size=int(e - s))
+    os.replace(tmp, path)
 
 
 def _write_bucketed_partials(
     partials: pa.Table, part_id: int, index_dir: str, n_buckets: int
-) -> List[str]:
-    """Split a partition's term partials by stable term hash and write one
-    file per non-empty bucket (the map side of the two-phase vocabulary
-    aggregation — disjoint buckets replace the groupby shuffle)."""
+) -> str:
+    """The map side of the two-phase vocabulary aggregation: the
+    partition's term partials, tagged with their stable term-hash bucket,
+    go to ONE file ``vocab_partials/p{part}.parquet`` (one row group per
+    bucket) — disjoint buckets replace the groupby shuffle."""
     out_dir = os.path.join(index_dir, "vocab_partials")
     os.makedirs(out_dir, exist_ok=True)
-    # clear this partition's prior partials: on re-tokenize a bucket that
-    # became empty must not leave a stale file for the vocab reduce
+    name = f"p{part_id:05d}.parquet"
+    # clear this partition's prior partials, in this layout and in the
+    # per-bucket one (b####-p#####), so the reducer never sums them twice
     for f in os.listdir(out_dir):
-        if f.endswith(f"-p{part_id:05d}.parquet"):
+        if f == name or f.endswith("-" + name):
             os.remove(os.path.join(out_dir, f))
-    if partials.num_rows == 0:
-        return []
-    buckets = _vocab_bucket_ids(partials.column("term").to_pylist(), n_buckets)
-    order = np.argsort(buckets, kind="stable")
-    sorted_t = partials.take(pa.array(order))
-    sb = buckets[order]
-    starts = np.flatnonzero(np.concatenate(([True], sb[1:] != sb[:-1])))
-    ends = np.concatenate((starts[1:], [len(sb)]))
-    paths = []
-    for s, e in zip(starts, ends):
-        b = int(sb[s])
-        path = os.path.join(out_dir, f"b{b:04d}-p{part_id:05d}.parquet")
-        atomic_write_table(path, sorted_t.slice(s, e - s))
-        paths.append(path)
-    return paths
+    path = os.path.join(out_dir, name)
+    _write_partials_file(path, partials, _vocab_bucket_ids(partials.column("term"), n_buckets))
+    return path
 
 
 def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Table:
@@ -675,6 +704,7 @@ def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Tab
     lineage = {
         "docs": {docs_path: file_sig(docs_path)},
         "vocab_buckets": cfg.vocab_buckets,
+        "partials_format": PARTIALS_FORMAT,
         # tokenizer settings: changed tokenization must invalidate postings
         "tokenizer": {
             "min_token_length": cfg.bm25.min_token_length,
@@ -803,7 +833,7 @@ def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Tab
         {"doc_num": docs.column("doc_num"), "dl": pa.array(dls, type=pa.int64())}
     )
     atomic_write_table(dls_path, dls_t)
-    partial_paths = _write_bucketed_partials(
+    partials_path = _write_bucketed_partials(
         term_partials_batch(postings), part_id, index_dir, cfg.vocab_buckets
     )
     metrics = {
@@ -813,7 +843,7 @@ def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Tab
         "total_dl": int(dls.sum()),
         "tokenize_sec": round(time.time() - t0, 3),
     }
-    man.commit(part_id, [postings_path, dls_path] + partial_paths, lineage, metrics)
+    man.commit(part_id, [postings_path, dls_path, partials_path], lineage, metrics)
     return pa.table({k: [v] for k, v in metrics.items()})
 
 
@@ -835,66 +865,84 @@ def tokenize_phase(part_ids: List[int], index_dir: str, cfg: BuildConfig) -> Lis
 
 # --------------------------------------------------------------- phase B
 
-def _vocab_one_bucket(bucket: int, index_dir: str) -> pa.Table:
-    """Reduce side of the vocabulary aggregation: merge one disjoint term
-    bucket's partials with a C++ group_by, term-sorted output."""
+def _read_bucket_range(files: List[str], lo: int, hi: int) -> pa.Table:
+    """Rows of buckets [lo, hi) from every partials file: each file is
+    opened once and only the row groups of those buckets are read.  Row
+    groups hold one bucket each, in bucket order, so two bisections over
+    the footer's ``bucket`` statistics find them."""
+    from bisect import bisect_left
+
+    tables = []
+    for f in files:
+        with pq.ParquetFile(f) as pf:
+            md = pf.metadata
+            col = pf.schema_arrow.get_field_index("bucket")
+
+            def bucket_of(i: int) -> int:
+                return md.row_group(i).column(col).statistics.min
+
+            rgs = range(md.num_row_groups)
+            first, end = (bisect_left(rgs, b, key=bucket_of) for b in (lo, hi))
+            if end > first:
+                tables.append(pf.read_row_groups(list(range(first, end))))
+    return pa.concat_tables(tables) if tables else PARTIALS_SCHEMA.empty_table()
+
+
+def _vocab_bucket_range(lo: int, hi: int, index_dir: str) -> pa.Table:
+    """Reduce side of the vocabulary aggregation for buckets [lo, hi):
+    merge the disjoint term buckets' partials with one C++ group_by and
+    write a term-sorted ``vocab-{b}`` file plus a ``bucket-{b}`` manifest
+    per bucket.  Returns one metrics row per bucket."""
     man = Manifest(index_dir, "vocab")
     pdir = os.path.join(index_dir, "vocab_partials")
     files = sorted(
-        os.path.join(pdir, f)
-        for f in os.listdir(pdir)
-        if f.startswith(f"b{bucket:04d}-") and f.endswith(".parquet")
+        os.path.join(pdir, f) for f in os.listdir(pdir) if f.endswith(".parquet")
     )
-    out_path = os.path.join(index_dir, "vocab", f"vocab-{bucket:05d}.parquet")
     lineage = {"files": files_sig(files)}
-    key = f"bucket-{bucket}"
-    if man.is_done(key, lineage):
-        m = man.get(key)["metrics"]
-        return pa.table({k: [v] for k, v in m.items()})
-
-    if files:
-        parts = pa.concat_tables(pq.read_table(f) for f in files)
+    todo = [b for b in range(lo, hi) if not man.is_done(f"bucket-{b}", lineage)]
+    if todo:
         g = (
-            parts.group_by("term")
+            _read_bucket_range(files, todo[0], todo[-1] + 1)
+            .group_by(["bucket", "term"])
             .aggregate([("df_partial", "sum"), ("cf_partial", "sum")])
-            .sort_by("term")
+            .sort_by([("bucket", "ascending"), ("term", "ascending")])
         )
-        vocab = pa.table(
-            {
-                "term": g.column("term"),
-                "df": g.column("df_partial_sum").cast(pa.int64()),
-                "cf": g.column("cf_partial_sum").cast(pa.int64()),
+        g_buckets = g.column("bucket").to_numpy()
+        for b in todo:
+            s, e = np.searchsorted(g_buckets, [b, b + 1])
+            grp = g.slice(int(s), int(e - s))
+            vocab = pa.table(
+                {
+                    "term": grp.column("term"),
+                    "df": grp.column("df_partial_sum").cast(pa.int64()),
+                    "cf": grp.column("cf_partial_sum").cast(pa.int64()),
+                }
+            )
+            out_path = os.path.join(index_dir, "vocab", f"vocab-{b:05d}.parquet")
+            # term-sorted small row groups: a query-time df point lookup
+            # filters to the one row group whose [min,max] term range covers
+            # it instead of decoding the whole bucket file (measured 300 ms →
+            # ~2 ms per term at a 15.9M-term vocabulary)
+            atomic_write_table(out_path, vocab, row_group_size=16_384)
+            metrics = {
+                "bucket": b,
+                "n_terms": vocab.num_rows,
+                "cf_sum": int(pc.sum(vocab.column("cf")).as_py() or 0),
             }
-        )
-    else:
-        vocab = pa.table(
-            {
-                "term": pa.array([], type=pa.string()),
-                "df": pa.array([], type=pa.int64()),
-                "cf": pa.array([], type=pa.int64()),
-            }
-        )
-    # term-sorted small row groups: a query-time df point lookup filters to
-    # the one row group whose [min,max] term range covers it instead of
-    # decoding the whole bucket file (measured 300 ms → ~2 ms per term at a
-    # 15.9M-term vocabulary)
-    atomic_write_table(out_path, vocab, row_group_size=16_384)
-    metrics = {
-        "bucket": bucket,
-        "n_terms": vocab.num_rows,
-        "cf_sum": int(pc.sum(vocab.column("cf")).as_py() or 0) if vocab.num_rows else 0,
-    }
-    man.commit(key, [out_path], lineage, metrics)
-    return pa.table({k: [v] for k, v in metrics.items()})
+            man.commit(f"bucket-{b}", [out_path], lineage, metrics)
+    rows = [man.get(f"bucket-{b}")["metrics"] for b in range(lo, hi)]
+    return pa.table({k: [r[k] for r in rows] for k in ("bucket", "n_terms", "cf_sum")})
 
 
 def vocabulary_phase(
     index_dir: str, cfg: BuildConfig, n_docs: int, total_dl: int
 ) -> Dict[str, float]:
-    """Phase B: per-bucket C++ group_by over the tokenize phase's bucketed
-    partials (disjoint term sets → embarrassingly parallel, no shuffle).
-    Any term's reduce fan-in is bounded by #partitions rows (partials are
-    pre-aggregated per partition), so hot terms cannot skew a bucket."""
+    """Phase B: C++ group_by over the tokenize phase's bucketed partials,
+    split into at most one task per partials file, each over a contiguous
+    bucket range (disjoint term sets → embarrassingly parallel, no
+    shuffle).  Any term's reduce fan-in is bounded by #partitions rows
+    (partials are pre-aggregated per partition), so hot terms cannot skew
+    a bucket."""
 
     # GC bucket outputs + manifests beyond the current bucket count (a
     # shrink would otherwise leave stale vocab files that VocabLookup reads)
@@ -912,12 +960,19 @@ def vocabulary_phase(
             if m and int(m.group(1)) >= cfg.vocab_buckets:
                 os.remove(os.path.join(mdir, f))
 
+    # at most one task per partials file: each task opens every file once,
+    # so with fewer files than buckets a task takes a contiguous range
+    pdir = os.path.join(index_dir, "vocab_partials")
+    n_files = sum(f.endswith(".parquet") for f in os.listdir(pdir))
+    n_tasks = max(1, min(cfg.vocab_buckets, n_files))
+    ranges = np.array_split(np.arange(cfg.vocab_buckets), n_tasks)
+
     def run(batch: pa.Table) -> Iterator[pa.Table]:
         for row in batch.to_pylist():
-            yield _vocab_one_bucket(int(row["bucket"]), index_dir)
+            yield _vocab_bucket_range(int(row["lo"]), int(row["hi"]), index_dir)
 
     results = (
-        ray.data.from_items([{"bucket": b} for b in range(cfg.vocab_buckets)])
+        ray.data.from_items([{"lo": int(r[0]), "hi": int(r[-1]) + 1} for r in ranges])
         .map_batches(run, batch_format="pyarrow", batch_size=1)
         .take_all()
     )

@@ -2046,7 +2046,9 @@ def q_transcript_engine_topk(sf_dir: str) -> pd.DataFrame:
     index_dir = f"{base}/index"
     build_index(files, index_dir, DEFAULT_BUILD_CONFIG, files_per_part=1)
 
-    engine = QueryEngine(index_dir, num_shards=4)
+    # 4 shards, or one per CPU on a smaller cluster (a pool larger than the
+    # cluster's CPUs cannot be scheduled)
+    engine = QueryEngine(index_dir, num_shards=min(4, int(ray.cluster_resources()["CPU"])))
     frames = []
     for i, q in enumerate(ENGINE_QUERIES):
         got = engine.search(q, k=10)

@@ -19,10 +19,8 @@ semantics) before applying ``confidence_threshold``.  Any callable
 strategy seam the reference exposes via its hexagonal ports.
 
 Execution shape: the reference loops rows in driver batches of 10
-(enrichment_service.py:batch_size).  Here small frames are enriched
-driver-side the same way; for large inputs ``enrich_dataset`` runs the same
-logic as a ``map_batches`` stage where each task searches via the shared
-shard-actor pool.
+(enrichment_service.py:batch_size); ``enrich_dataframe`` enriches a frame
+driver-side the same way.
 """
 
 from __future__ import annotations
@@ -155,25 +153,3 @@ def make_bm25_search_fn(engine) -> Callable[[str, int], pd.DataFrame]:
         return got[["text", "score"]].reset_index(drop=True)
 
     return search_fn
-
-
-def enrich_dataset(
-    ds,
-    schema: Dict[str, Any],
-    search_fn_factory,
-    max_results: int = 5,
-    confidence_threshold: float = 0.5,
-):
-    """Large-input variant: the same enrichment as a ``map_batches`` stage.
-    ``search_fn_factory`` is constructed once per task (e.g. binding the
-    shared shard-actor handles) so each batch searches in parallel."""
-    import pyarrow as pa
-
-    def run(batch: pa.Table) -> pa.Table:
-        pdf = batch.to_pandas()
-        enriched = enrich_dataframe(
-            pdf, schema, search_fn_factory(), max_results, confidence_threshold
-        )
-        return pa.Table.from_pandas(enriched, preserve_index=False)
-
-    return ds.map_batches(run, batch_format="pyarrow")

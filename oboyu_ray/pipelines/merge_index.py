@@ -22,9 +22,10 @@ touches a token:
   same float64 expression as a fresh build) so the merged index is a
   first-class monolith — no query-time rescale factor needed.
 * **Vocabulary merges as partials.**  Member vocab bucket files ARE
-  term partials of the merged vocabulary: each is re-bucketed (a metadata
-  rename when bucket counts agree) into the output's ``vocab_partials``
-  and reduced by the build's own ``_vocab_one_bucket`` — same disjoint
+  term partials of the merged vocabulary: each member's become one file
+  in the output's ``vocab_partials``, in the build's layout (one row group
+  per crc32 bucket of the OUTPUT's bucket count, which members need not
+  share), reduced by the build's own ``vocabulary_phase`` — same disjoint
   per-bucket C++ group_by, no shuffle.
 * **Global statistics add** (N, total_dl → avgdl; df/cf per term), the
   same exact-merge semantics FederatedEngine proves
@@ -65,6 +66,7 @@ from oboyu_ray.state.checkpoint import (
     atomic_write_json,
     atomic_write_table,
     file_sig,
+    files_sig,
 )
 from oboyu_ray.state.codec import varint_decode
 
@@ -279,66 +281,26 @@ def _merge_one_part(
 def _rebucket_vocab_partials(
     spec: Dict, out_buckets: int, out_dir: str
 ) -> pa.Table:
-    """One member vocab bucket file → output vocab_partials.
+    """One member's vocab bucket files → ONE output partials file
+    ``vocab_partials/m{member}.parquet`` in the build's layout (one row
+    group per bucket), with crc32 buckets for the output's bucket count —
+    the member's own count may differ."""
+    from oboyu_ray.pipelines.build_index import _vocab_bucket_ids, _write_partials_file
 
-    Fast path (member bucket count == output bucket count): the member file
-    IS bucket b's partial — rename columns, write through.  Slow path:
-    recompute crc32 buckets and write one partial per non-empty bucket."""
-    member_idx = int(spec["member_idx"])
-    src = spec["src_file"]
-    src_bucket = int(spec["src_bucket"])
-    same = bool(spec["same_buckets"])
-
+    srcs = list(spec["src_files"])
     man = Manifest(out_dir, "merge_vocab_partials")
-    key = f"m{member_idx:03d}-b{src_bucket:05d}"
-    lineage = {"src": {src: file_sig(src)}, "out_buckets": out_buckets, "same": same}
+    key = f"m{int(spec['member_idx']):03d}"
+    lineage = {"src": files_sig(srcs), "out_buckets": out_buckets}
     if man.is_done(key, lineage):
         m = man.get(key)["metrics"]
         return pa.table({k: [v] for k, v in m.items()})
 
-    pdir = os.path.join(out_dir, "vocab_partials")
-    t = pq.read_table(src, columns=["term", "df", "cf"])
-    partial = pa.table(
-        {
-            "term": t.column("term"),
-            "df_partial": t.column("df"),
-            "cf_partial": t.column("cf"),
-        }
-    )
-    outputs: List[str] = []
-    if same:
-        path = os.path.join(pdir, f"b{src_bucket:04d}-merge-m{member_idx:03d}.parquet")
-        atomic_write_table(path, partial)
-        outputs.append(path)
-    else:
-        from oboyu_ray.pipelines.build_index import _vocab_bucket_ids
-
-        # a re-run after the source changed may produce a different set of
-        # non-empty out buckets — drop every prior partial of this
-        # (member, src bucket) before writing the fresh set
-        import re as _re
-
-        suffix = f"-merge-m{member_idx:03d}-s{src_bucket:05d}.parquet"
-        for old in os.listdir(pdir):
-            if old.endswith(suffix) and _re.match(r"b\d{4}-", old):
-                os.remove(os.path.join(pdir, old))
-
-        terms = t.column("term").to_pylist()
-        buckets = _vocab_bucket_ids(terms, out_buckets)
-        order = np.argsort(buckets, kind="stable")
-        sb = buckets[order]
-        runs = np.flatnonzero(np.concatenate(([True], sb[1:] != sb[:-1])))
-        ends = np.concatenate((runs[1:], [len(sb)]))
-        reordered = partial.take(pa.array(order))
-        for s, e in zip(runs, ends):
-            bkt = int(sb[s])
-            path = os.path.join(
-                pdir, f"b{bkt:04d}-merge-m{member_idx:03d}-s{src_bucket:05d}.parquet"
-            )
-            atomic_write_table(path, reordered.slice(int(s), int(e - s)))
-            outputs.append(path)
-    metrics = {"key": key, "n_terms": t.num_rows, "n_outputs": len(outputs)}
-    man.commit(key, outputs, lineage, metrics)
+    t = pa.concat_tables(pq.read_table(f, columns=["term", "df", "cf"]) for f in srcs)
+    buckets = _vocab_bucket_ids(t.column("term"), out_buckets)
+    path = os.path.join(out_dir, "vocab_partials", f"{key}.parquet")
+    _write_partials_file(path, t.rename_columns(["term", "df_partial", "cf_partial"]), buckets)
+    metrics = {"key": key, "n_terms": t.num_rows}
+    man.commit(key, [path], lineage, metrics)
     return pa.table({k: [v] for k, v in metrics.items()})
 
 
@@ -534,64 +496,36 @@ def merge_indexes(
     ]
     if vocab_buckets is None:
         vocab_buckets = max(member_buckets)
-    # GC partials not derivable from THIS member set (the per-bucket reduce
-    # globs b{b}-*, so a stale partial from a removed member would silently
-    # pollute the merged df/cf sums).  Expected names: fast path
-    # b{b}-merge-m{i}.parquet (member i shares the bucket count, b < its
-    # count); re-bucket path b{b}-merge-m{i}-s{sb}.parquet (sb < member i's
-    # count, b < out count).  Anything else — including partials of a plain
-    # build — goes.
-    import re as _re
-
+    # GC partials not derivable from THIS member set: the reduce reads the
+    # whole partials directory, so a stale partial (a removed member, the
+    # per-bucket layout, a plain build's) would silently pollute the merged
+    # df/cf sums.  Member i's partials file is m{i}.parquet.
     pdir = os.path.join(out_dir, "vocab_partials")
+    expected = {f"m{i:03d}.parquet" for i in range(len(metas))}
     for f in os.listdir(pdir):
-        if not f.endswith(".parquet"):
-            continue
-        keep = False
-        m_fast = _re.match(r"b(\d{4})-merge-m(\d{3})\.parquet$", f)
-        m_slow = _re.match(r"b(\d{4})-merge-m(\d{3})-s(\d{5})\.parquet$", f)
-        if m_fast:
-            bkt, i = int(m_fast.group(1)), int(m_fast.group(2))
-            keep = (
-                i < len(metas)
-                and member_buckets[i] == vocab_buckets
-                and bkt < member_buckets[i]
-            )
-        elif m_slow:
-            bkt, i, sb = (int(m_slow.group(g)) for g in (1, 2, 3))
-            keep = (
-                i < len(metas)
-                and member_buckets[i] != vocab_buckets
-                and bkt < int(vocab_buckets)
-                and sb < member_buckets[i]
-            )
-        if not keep:
+        if f.endswith(".parquet") and f not in expected:
             os.remove(os.path.join(pdir, f))
 
     vspecs = []
     for i, m in enumerate(metas):
         vdir = os.path.join(m["dir"], "vocab")
-        for f in sorted(os.listdir(vdir)):
-            if not f.endswith(".parquet"):
-                continue
-            src_bucket = int(f[len("vocab-"):-len(".parquet")])
-            vspecs.append({
-                "member_idx": i,
-                "src_file": os.path.join(vdir, f),
-                "src_bucket": src_bucket,
-                "same_buckets": member_buckets[i] == vocab_buckets,
-            })
+        vspecs.append({
+            "member_idx": i,
+            "src_files": [
+                os.path.join(vdir, f) for f in sorted(os.listdir(vdir))
+                if f.endswith(".parquet")
+            ],
+        })
 
     def run_vocab(batch: pa.Table) -> Iterator[pa.Table]:
         for row in batch.to_pylist():
             yield _rebucket_vocab_partials(row, int(vocab_buckets), out_dir)
 
-    if vspecs:
-        (
-            ray.data.from_items(vspecs)
-            .map_batches(run_vocab, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+    (
+        ray.data.from_items(vspecs)
+        .map_batches(run_vocab, batch_format="pyarrow", batch_size=1)
+        .take_all()
+    )
 
     from oboyu_ray.config import BuildConfig, BM25Config
     from oboyu_ray.pipelines.build_index import vocabulary_phase

@@ -278,23 +278,3 @@ def write_synth_transcripts_parallel(
             gen, batch_format="pyarrow", batch_size=1
         ).take_all()
     return paths
-
-
-def synth_transcripts_dataset(n_convs: int, seed: int = 42, convs_per_block: int = 2_000):
-    """Ray Dataset of synthetic transcripts, generated in parallel tasks
-    (no driver-side materialization): a tiny dataset of conv ranges fans out
-    to `map_batches` generator tasks."""
-    import ray.data
-
-    ranges = [
-        {"start": s, "end": min(s + convs_per_block, n_convs)}
-        for s in range(0, n_convs, convs_per_block)
-    ]
-
-    def gen(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield synth_transcripts_table(seed, row["start"], row["end"])
-
-    return ray.data.from_items(ranges).map_batches(
-        gen, batch_format="pyarrow", batch_size=1
-    )

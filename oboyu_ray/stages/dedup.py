@@ -122,11 +122,6 @@ def _batch_shingle_hashes(texts: Sequence[Optional[str]]) -> Tuple[np.ndarray, n
     return d[keep], h[keep]
 
 
-def _shingle_hashes(text: str) -> np.ndarray:
-    """Single-doc convenience wrapper over the batch kernel."""
-    return _batch_shingle_hashes([text])[1]
-
-
 def _batch_char_bigram_hashes(
     texts: Sequence[Optional[str]],
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -631,17 +626,6 @@ def _perm_params(num_perm: int, seed: int = 7) -> Tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _minhash_sig(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(num_perm,) uint64 signature: min over shingles of (a*x+b) mod M61.
-    Python-int matmul avoided: uint64 wrap-around multiply is a valid
-    universal hash family here because a is odd and M61 masks the low bits."""
-    if len(shingles) == 0:
-        return np.full(len(a), np.iinfo(np.uint64).max, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = (shingles[:, None] * a[None, :] + b[None, :]) & _MERSENNE
-    return h.min(axis=0)
-
-
 def minhash_lsh_pairs(
     ds: "ray.data.Dataset",
     tau: float = 0.5,
@@ -750,11 +734,6 @@ def _batch_simhash(texts: Sequence[Optional[str]]) -> np.ndarray:
     on = (acc > 0).astype(np.uint64)
     sig[du[dstarts]] = (on << bit_idx[None, :]).sum(axis=1).astype(np.uint64)
     return sig
-
-
-def _simhash(text: str) -> int:
-    """Single-doc convenience wrapper over the batch kernel."""
-    return int(_batch_simhash([text])[0])
 
 
 def simhash_pairs(

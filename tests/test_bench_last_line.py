@@ -59,3 +59,23 @@ def test_emit_writes_full_result_to_side_file(tmp_path, monkeypatch, capsys):
     head = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     with open(head["details"]) as f:
         assert json.load(f) == result
+
+
+def test_query_suite_records_a_raising_query_and_goes_on(monkeypatch):
+    import pandas as pd
+
+    import __ray_entry__
+
+    def boom(sf_dir):
+        raise ValueError("4 shards need 4 CPUs but the cluster has 2")
+
+    monkeypatch.setattr(__ray_entry__, "queries", lambda: {
+        "before": lambda sf_dir: pd.DataFrame({"x": [1]}),
+        "boom": boom,
+        "after": lambda sf_dir: pd.DataFrame({"x": [2]}),
+    })
+    got = bench.run_query_suite("unused")
+    assert sorted(got["queries"]) == ["after", "before"]
+    assert got["failed"] == {"boom": "ValueError: 4 shards need 4 CPUs but the cluster has 2"}
+    head = json.loads(bench.last_line({"value": 1.0, **got}, "d.json"))
+    assert head["failed"] == got["failed"] and "queries" not in head
