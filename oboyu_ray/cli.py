@@ -164,6 +164,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         print("query: " + ", ".join(on_modes) + " are mutually exclusive",
               file=sys.stderr)
         return 2
+    # --exclude is honoured by plain search and --boosts only, and a
+    # command-line --require-all by plain search only: refuse the rest
+    # instead of answering without them (under --federate too)
+    dropped = []
+    if on_modes and getattr(args, "exclude", None) and on_modes != ["--boosts"]:
+        dropped.append("--exclude")
+    if on_modes and getattr(args, "require_all", None) is not None:
+        dropped.append("--require-all")
+    if dropped:
+        print(f"query: {', '.join(dropped)} is not supported with "
+              f"{on_modes[0]}", file=sys.stderr)
+        return 2
 
     if getattr(args, "federate", None):
         from oboyu_ray.pipelines.federated import FederatedEngine

@@ -208,7 +208,6 @@ class McpServer:
         snippet: bool = False, count_only: bool = False,
         collapse: bool = False,
     ) -> Dict:
-        eng = self._engine(index_dir)
         # scope composes with every mode (the engine methods all take it) —
         # never silently drop it on the fuzzy/prefix/phrase/near branches
         sc = (int(scope[0]), int(scope[1])) if scope else None
@@ -231,6 +230,10 @@ class McpServer:
                 "phrase/prefix/near/fuzzy/regex/wildcard/bool_query/dismax/"
                 "boosts/span_near are mutually exclusive"
             )
+        # only plain search honours require_all: refuse it elsewhere
+        if require_all and any(modes):
+            raise ValueError("require_all is only supported in plain search mode")
+        eng = self._engine(index_dir)
         if count_only:
             if any(modes) or int(page) or snippet or collapse:
                 raise ValueError(

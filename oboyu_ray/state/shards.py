@@ -33,6 +33,13 @@ Pruning (safe, exact — results equal brute force by construction):
 The block table itself is the skip structure (window granularity): a query
 touches only the block rows of surviving windows and never iterates postings
 in Python.
+
+Every top-k kernel (and ``count_matches``) runs the same scaffold: one part
+walk (``IndexShard._walk``: empty for k ≤ 0 or an empty scope, one
+``queries`` tick, in-scope parts only, the positional-index guard) and one
+running top-k (``_TopK``: NOT/scope filter, exact merge, θ).  A kernel keeps
+only its per-part leaf logic, built from shared leaf helpers: window
+intersection, per-window block lookup and hit-doc scoring.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ class _PartIndex:
             starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
             ends = np.concatenate((starts[1:], [nrows]))
             terms_at_starts = enc.dictionary.take(
-                __import__("pyarrow").array(codes[starts])
+                pa.array(codes[starts])
             ).to_pylist()
             for term, s_, e_ in zip(terms_at_starts, starts, ends):
                 self.term_slices[term] = (int(s_), int(e_))
@@ -213,11 +220,6 @@ class _PartIndex:
         range — gives the per-posting position counts: tf == len(positions)
         by construction).  Same grouped-delta reconstruction as docs, with
         base 0 per posting."""
-        if not self.has_positions:
-            raise ValueError(
-                "index was built without store_positions; rebuild with "
-                "BuildConfig(store_positions=True) to enable phrase queries"
-            )
         gaps = varint_decode(
             self.pos_buf[self.pos_off[s] : self.pos_off[e]]
         ).astype(np.int64)
@@ -276,6 +278,77 @@ def _merge_topk_multi(
     return docs[order], scores[order]
 
 
+def _drop_excluded(docs_abs: np.ndarray, scores: np.ndarray, excl_abs,
+                   scope=None):
+    """Filter (docs, scores) against the sorted exclusion array and the
+    optional ``scope`` doc_num interval [lo, hi) BEFORE any top-k
+    insert — θ then derives from valid docs only, keeping every pruning
+    bound sound (removing candidates can only raise the true θ, and the
+    window/part bounds remain upper bounds for the surviving docs)."""
+    if not len(docs_abs):
+        return docs_abs, scores
+    if excl_abs is not None:
+        pos = np.searchsorted(excl_abs, docs_abs)
+        pos_c = np.clip(pos, 0, len(excl_abs) - 1)
+        keep = excl_abs[pos_c] != docs_abs
+        docs_abs, scores = docs_abs[keep], scores[keep]
+    if scope is not None and len(docs_abs):
+        keep = (docs_abs >= scope[0]) & (docs_abs < scope[1])
+        docs_abs, scores = docs_abs[keep], scores[keep]
+    return docs_abs, scores
+
+
+def _intersect_all(arrays) -> np.ndarray:
+    """Intersection of sorted-unique int64 arrays, folded in the given
+    order and stopped at the first empty result (later arrays of a lazy
+    iterable are then never built); empty when there are none."""
+    cur = None
+    for a in arrays:
+        cur = a if cur is None else np.intersect1d(cur, a, assume_unique=True)
+        if not len(cur):
+            break
+    return np.empty(0, dtype=np.int64) if cur is None else cur
+
+
+class _TopK:
+    """The running exact top-k of one shard call, in (score DESC, doc ASC)
+    order.  ``push`` filters NOT-excluded and out-of-scope docs (``keep``)
+    before they merge, so ``theta`` — the k-th best score, −inf until k
+    docs are held — derives from valid docs only."""
+
+    __slots__ = ("k", "scope", "docs", "scores", "theta")
+
+    def __init__(self, k: int, scope=None) -> None:
+        self.k = k
+        self.scope = None if scope is None else (int(scope[0]), int(scope[1]))
+        self.docs = np.empty(0, dtype=np.int64)
+        self.scores = np.empty(0, dtype=np.float64)
+        self.theta = NEG_INF
+
+    @property
+    def full(self) -> bool:
+        return len(self.docs) >= self.k
+
+    def outside(self, lo: int, hi: int) -> bool:
+        """True when the doc_num range [lo, hi) cannot meet the scope —
+        scoped queries then touch only the parts (and windows) that
+        overlap the interval, the structural speedup of contiguous doc
+        numbering."""
+        return self.scope is not None and (hi <= self.scope[0] or lo >= self.scope[1])
+
+    def keep(self, docs_abs: np.ndarray, scores: np.ndarray, excl_abs=None):
+        return _drop_excluded(docs_abs, scores, excl_abs, self.scope)
+
+    def push(self, docs_abs: np.ndarray, scores: np.ndarray, excl_abs=None) -> None:
+        docs_abs, scores = self.keep(docs_abs, scores, excl_abs)
+        if len(docs_abs):
+            self.docs, self.scores = _merge_topk(
+                self.docs, self.scores, docs_abs, scores, self.k
+            )
+            if self.full:
+                self.theta = self.scores[-1]
+
+
 class IndexShard:
     """Actor serving top-k BM25 for a set of document partitions.
 
@@ -304,6 +377,9 @@ class IndexShard:
         self.parts: List[_PartIndex] = []
         for pid in part_ids:
             self.parts.append(_PartIndex(index_dir, pid, window_docs))
+        # BM25 parameters, set per index via configure(); defaults match
+        # BM25Config
+        self.k1, self.b, self.avgdl = 1.2, 0.75, 1.0
         # key (part, s, e) → ((idx, tfnorm), n_postings) sparse entries;
         # key (part, s, e, -1) → (dense tfnorm array, span/2) gather entries
         self._cache: Dict[Tuple, Tuple] = {}
@@ -328,6 +404,106 @@ class IndexShard:
     def reset_counters(self) -> None:
         for k in self.counters:
             self.counters[k] = 0
+
+    def _walk(self, top: _TopK, positions: Optional[str] = None):
+        """The part loop of every kernel: nothing when ``top`` can hold no
+        doc (k ≤ 0 or an empty scope); else one ``queries`` tick and each
+        (part_idx, part) whose doc range meets the scope.  ``positions``
+        names a mode that needs a positional index: an in-scope part built
+        without positions raises."""
+        if top.k <= 0 or (top.scope is not None and top.scope[0] >= top.scope[1]):
+            return
+        self.counters["queries"] += 1
+        W = self.window_docs
+        for part_idx, part in enumerate(self.parts):
+            lo = part.win_base * W
+            if top.outside(lo, lo + part.n_windows * W):
+                continue
+            if positions and not part.has_positions:
+                raise ValueError(
+                    "index was built without store_positions; rebuild with "
+                    f"BuildConfig(store_positions=True) to enable {positions} "
+                    "queries"
+                )
+            yield part_idx, part
+
+    @staticmethod
+    def _hits(part: _PartIndex, term_weights: Dict[str, float]):
+        """[(w, s, e)]: weight and block-row slice of each weighted term
+        the part holds."""
+        return [
+            (w, *part.term_slices[t])
+            for t, w in term_weights.items()
+            if t in part.term_slices
+        ]
+
+    @staticmethod
+    def _block_row(part: _PartIndex, s: int, e: int, win_abs: int) -> int:
+        """Block row of term slice [s, e) in window ``win_abs`` (one row per
+        window, sorted by window), or -1 when the term has none there."""
+        bi = s + int(np.searchsorted(part.win[s:e], win_abs))
+        return bi if bi < e and part.win[bi] == win_abs else -1
+
+    def _window_contribs(self, part: _PartIndex, hits, win_abs: int):
+        """(window-local doc index, weighted contribution) of each hit
+        term's block in window ``win_abs``; terms without one are
+        skipped."""
+        base = win_abs * self.window_docs
+        for w, s, e in hits:
+            bi = self._block_row(part, s, e, win_abs)
+            if bi >= 0:
+                docs_abs, tf, dl = part.decode_range(bi, bi + 1)
+                yield docs_abs - base, w * self._tfnorm(tf, dl)
+
+    def _part_contribs(self, part_idx: int, hits):
+        """(part-local doc index, weighted contribution) of each hit term
+        over its whole block range, through the contribution cache."""
+        for w, s, e in hits:
+            idx, tfnorm = self._contrib_cached(part_idx, s, e)
+            yield idx, w * tfnorm
+
+    @staticmethod
+    def _or_fold(size: int, contribs):
+        """OR-sum of (local doc index, contribution) pairs over ``size``
+        local docs, accumulated per term in the given order → (candidate
+        local docs, scores)."""
+        acc = np.zeros(size, dtype=np.float64)
+        present = np.zeros(size, dtype=bool)
+        for idx, c in contribs:
+            acc[idx] += c
+            present[idx] = True
+        cand = np.flatnonzero(present)
+        return cand, acc[cand]
+
+    @staticmethod
+    def _dismax_fold(size: int, contribs, tb: float):
+        """DisMax of (local doc index, contribution) pairs: per doc
+        ``m + tb·(Σc − m)`` with m the largest contribution → (candidate
+        local docs, scores)."""
+        acc = np.zeros(size, dtype=np.float64)
+        mx = np.full(size, -np.inf, dtype=np.float64)
+        present = np.zeros(size, dtype=bool)
+        for idx, c in contribs:
+            acc[idx] += c
+            # idx is unique per term (one posting per doc), so the
+            # vectorized gather/compare/scatter replaces the ~10x slower
+            # unbuffered np.maximum.at
+            mx[idx] = np.maximum(mx[idx], c)
+            present[idx] = True
+        cand = np.flatnonzero(present)
+        m = mx[cand]
+        return cand, m + tb * (acc[cand] - m)
+
+    def _score_hits(self, part_idx: int, part: _PartIndex, terms,
+                    term_weights: Dict[str, float], hit_idx: np.ndarray):
+        """(absolute doc_nums, BM25 scores) of part-local ``hit_idx`` docs,
+        each of which holds every one of ``terms``: one searchsorted per
+        term into its cached contributions, summed in ``terms`` order."""
+        scores = np.zeros(len(hit_idx), dtype=np.float64)
+        for t in terms:
+            idx, tfnorm = self._contrib_cached(part_idx, *part.term_slices[t])
+            scores += term_weights[t] * tfnorm[np.searchsorted(idx, hit_idx)]
+        return part.win_base * self.window_docs + hit_idx, scores
 
     def _contrib_cached(self, part_idx: int, s: int, e: int):
         """FIFO-bounded cache of (part-local doc index, tfnorm) for a term's
@@ -409,20 +585,9 @@ class IndexShard:
         per group one np.add.at scatter of raw tfs + one vectorized
         saturation over the group's candidates — no per-doc Python."""
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0 or not groups:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        self.counters["queries"] += 1
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
             span = part.n_windows * W
-            base = part.win_base * W
             acc = None
             present = None
             for g, w in zip(groups, group_weights):
@@ -446,16 +611,8 @@ class IndexShard:
             if acc is None:
                 continue
             cand = np.flatnonzero(present)
-            if not len(cand):
-                continue
-            docs_abs, sc = self._drop_excluded(
-                base + cand, acc[cand], None, scope
-            )
-            if len(docs_abs):
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, sc, k
-                )
-        return top_docs, top_scores
+            top.push(part.win_base * W + cand, acc[cand])
+        return top.docs, top.scores
 
     def query_dismax(
         self, term_weights: Dict[str, float], tiebreak: float, k: int,
@@ -478,117 +635,50 @@ class IndexShard:
         and tb outside [0, 1] fall back to the dense whole-part
         accumulation; ``force`` pins "dense"/"pruned" for tests."""
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0 or not term_weights:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
         tb = float(tiebreak)
-        theta = NEG_INF
-        self.counters["queries"] += 1
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            hits = [
-                (w, *part.term_slices[t])
-                for t, w in term_weights.items()
-                if t in part.term_slices
-            ]
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
+            hits = self._hits(part, term_weights)
             if not hits:
                 continue
-            uniq_wins = ub_sum = ub_max = bound = None
-            if force is not None:
-                dense = force == "dense"
-            elif len(hits) >= WIDE_OR_TERMS or not (0.0 <= tb <= 1.0):
-                dense = True
-            elif len(top_docs) < k:
-                # an unfilled heap prunes nothing: one dense pass, with no
-                # bounds to compute (mirrors query())
-                dense = True
-            else:
+            # one dense pass, with no bounds to compute, for wide queries
+            # (bound bookkeeping costs more than it prunes), tb outside
+            # [0, 1] (no sound bound) and an unfilled heap (prunes nothing)
+            dense = force == "dense" or (force is None and (
+                len(hits) >= WIDE_OR_TERMS or not (0.0 <= tb <= 1.0)
+                or not top.full
+            ))
+            if not dense:
+                uniq_wins, ub_sum, ub_max = self._window_bounds(
+                    part, hits, want_max=True
+                )
+                bound = (1.0 - tb) * ub_max + tb * ub_sum
                 # adaptive execution (mirrors query()): when the bound
                 # cannot drop most windows — hot terms — the per-window
                 # decode loop loses to one dense pass
-                uniq_wins, ub_sum, ub_max = self._window_bounds(
-                    part, hits, want_max=True
+                dense = force is None and (
+                    int((bound >= top.theta).sum()) * 2 > len(uniq_wins)
                 )
-                bound = (1.0 - tb) * ub_max + tb * ub_sum
-                dense = int((bound >= theta).sum()) * 2 > len(uniq_wins)
-            span = part.n_windows * W
-            base = part.win_base * W
             if dense:
-                sum_acc = np.zeros(span, dtype=np.float64)
-                max_acc = np.full(span, -np.inf, dtype=np.float64)
-                present = np.zeros(span, dtype=bool)
-                for w, s, e in hits:
-                    idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                    c = w * tfnorm
-                    sum_acc[idx] += c
-                    # idx is unique per term (one posting per doc), so the
-                    # vectorized gather/compare/scatter replaces the ~10x
-                    # slower unbuffered np.maximum.at
-                    max_acc[idx] = np.maximum(max_acc[idx], c)
-                    present[idx] = True
-                cand = np.flatnonzero(present)
-                if not len(cand):
-                    continue
-                m = max_acc[cand]
-                sc = m + tb * (sum_acc[cand] - m)
-                docs_abs, sc = self._drop_excluded(base + cand, sc, None, scope)
-                if len(docs_abs):
-                    top_docs, top_scores = _merge_topk(
-                        top_docs, top_scores, docs_abs, sc, k
-                    )
-                    if len(top_docs) >= k:
-                        theta = top_scores[-1]
-                continue
-            if bound is None:  # force="pruned" skipped the adaptive block
-                uniq_wins, ub_sum, ub_max = self._window_bounds(
-                    part, hits, want_max=True
+                cand, sc = self._dismax_fold(
+                    part.n_windows * W, self._part_contribs(part_idx, hits), tb
                 )
-                bound = (1.0 - tb) * ub_max + tb * ub_sum
+                top.push(part.win_base * W + cand, sc)
+                continue
             order = np.argsort(-bound, kind="stable")
             for n_done, oi in enumerate(order):
-                if len(top_docs) >= k and bound[oi] < theta:
+                if bound[oi] < top.theta:
                     self.counters["windows_pruned"] += len(order) - n_done
                     break
                 win_abs = int(uniq_wins[oi])
-                if scope is not None and (
-                    (win_abs + 1) * W <= scope[0] or win_abs * W >= scope[1]
-                ):
+                if top.outside(win_abs * W, (win_abs + 1) * W):
                     continue
                 self.counters["windows_scanned"] += 1
-                wbase = win_abs * W
-                acc = np.zeros(W, dtype=np.float64)
-                mx = np.full(W, -np.inf, dtype=np.float64)
-                present = np.zeros(W, dtype=bool)
-                for w, s, e in hits:
-                    bi = s + int(np.searchsorted(part.win[s:e], win_abs))
-                    if bi >= e or part.win[bi] != win_abs:
-                        continue
-                    docs_abs, tf, dl = part.decode_range(bi, bi + 1)
-                    local = docs_abs - wbase
-                    c = w * self._tfnorm(tf, dl)
-                    acc[local] += c
-                    mx[local] = np.maximum(mx[local], c)
-                    present[local] = True
-                idx = np.flatnonzero(present)
-                if not len(idx):
-                    continue
-                m = mx[idx]
-                sc = m + tb * (acc[idx] - m)
-                docs_abs, sc = self._drop_excluded(wbase + idx, sc, None, scope)
-                if not len(docs_abs):
-                    continue
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, sc, k
+                idx, sc = self._dismax_fold(
+                    W, self._window_contribs(part, hits, win_abs), tb
                 )
-                if len(top_docs) >= k:
-                    theta = top_scores[-1]
-        return top_docs, top_scores
+                top.push(win_abs * W + idx, sc)
+        return top.docs, top.scores
 
     def count_matches(
         self, terms: List[str], require_all: bool = False,
@@ -603,44 +693,34 @@ class IndexShard:
         256-node count is #shards integers."""
         W = self.window_docs
         distinct = list(dict.fromkeys(terms))
-        if not distinct:
-            return 0
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return 0
-        self.counters["queries"] += 1
+        need = len(distinct) if require_all else 1
+        top = _TopK(1, scope)  # a count holds no docs: only keep() is used
         total = 0
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
+        for part_idx, part in self._walk(top):
             present_terms = [t for t in distinct if t in part.term_slices]
-            if not present_terms or (require_all and len(present_terms) < len(distinct)):
+            if not present_terms or len(present_terms) < need:
                 continue
-            span = part.n_windows * W
-            base = part.win_base * W
-            nseen = np.zeros(span, dtype=np.int32)
+            nseen = np.zeros(part.n_windows * W, dtype=np.int32)
             for t in present_terms:
                 idx, _ = self._contrib_cached(part_idx, *part.term_slices[t])
                 nseen[idx] += 1
-            cand = np.flatnonzero(
-                nseen >= (len(distinct) if require_all else 1)
-            )
+            cand = np.flatnonzero(nseen >= need)
             if not len(cand):
                 continue
-            excl_abs = self._excluded_abs(part_idx, part, exclude_terms or ())
-            docs_abs, _ = self._drop_excluded(
-                base + cand, np.empty(len(cand)), excl_abs, scope
+            excl_abs = self._excluded_abs(part_idx, part, exclude_terms)
+            docs_abs, _ = top.keep(
+                part.win_base * W + cand, np.empty(len(cand)), excl_abs
             )
             total += len(docs_abs)
         return total
 
     def _excluded_abs(self, part_idx: int, part: _PartIndex, exclude_terms):
         """Sorted absolute doc_nums in this part containing ANY excluded
-        term (boolean NOT support) — decoded through the shared contribution
-        cache, so repeated NOT queries pay nothing."""
+        term (boolean NOT support), None when there is none — decoded
+        through the shared contribution cache, so repeated NOT queries pay
+        nothing."""
         arrs = []
-        for t in exclude_terms:
+        for t in exclude_terms or ():
             se = part.term_slices.get(t)
             if se:
                 idx, _ = self._contrib_cached(part_idx, *se)
@@ -649,36 +729,6 @@ class IndexShard:
             return None
         u = np.unique(np.concatenate(arrs)) if len(arrs) > 1 else arrs[0]
         return u + part.win_base * self.window_docs
-
-    @staticmethod
-    def _drop_excluded(docs_abs: np.ndarray, scores: np.ndarray, excl_abs,
-                       scope=None):
-        """Filter (docs, scores) against the sorted exclusion array and the
-        optional ``scope`` doc_num interval [lo, hi) BEFORE any top-k
-        insert — θ then derives from valid docs only, keeping every pruning
-        bound sound (removing candidates can only raise the true θ, and the
-        window/part bounds remain upper bounds for the surviving docs)."""
-        if not len(docs_abs):
-            return docs_abs, scores
-        if excl_abs is not None:
-            pos = np.searchsorted(excl_abs, docs_abs)
-            pos_c = np.clip(pos, 0, len(excl_abs) - 1)
-            keep = excl_abs[pos_c] != docs_abs
-            docs_abs, scores = docs_abs[keep], scores[keep]
-        if scope is not None and len(docs_abs):
-            keep = (docs_abs >= scope[0]) & (docs_abs < scope[1])
-            docs_abs, scores = docs_abs[keep], scores[keep]
-        return docs_abs, scores
-
-    def _part_outside_scope(self, part, scope) -> bool:
-        """True when a part's doc_num range cannot intersect the scope —
-        scoped queries then touch only the parts (and windows) that overlap
-        the interval, the structural speedup of contiguous doc numbering."""
-        if scope is None:
-            return False
-        lo = part.win_base * self.window_docs
-        hi = lo + part.n_windows * self.window_docs
-        return hi <= scope[0] or lo >= scope[1]
 
     def _window_bounds(self, part, hits, want_max: bool = False):
         """Per unique window of ``hits`` = [(w, s, e), …]: sound upper
@@ -746,31 +796,12 @@ class IndexShard:
         scores still use full-corpus statistics (M14 WHERE-on-results
         semantics); disjoint parts and windows are skipped outright."""
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        theta = NEG_INF
-        self.counters["queries"] += 1
-
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            hits = [
-                (w, *part.term_slices[t])
-                for t, w in term_weights.items()
-                if t in part.term_slices
-            ]
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
+            hits = self._hits(part, term_weights)
             if not hits:
                 continue
-            excl_abs = (
-                self._excluded_abs(part_idx, part, exclude_terms)
-                if exclude_terms else None
-            )
+            excl_abs = self._excluded_abs(part_idx, part, exclude_terms)
             # WIDE-OR shape (prefix expansions, massive query vocabularies):
             # with many terms, per-window bound bookkeeping and the MaxScore
             # candidate-shedding loops cost more than the thing they avoid —
@@ -782,24 +813,10 @@ class IndexShard:
             # paths (per-term accumulate), so scores are identical.
             if len(hits) >= WIDE_OR_TERMS:
                 self.counters["wide_or_parts"] += 1
-                span = part.n_windows * W
-                base = part.win_base * W
-                acc = np.zeros(span, dtype=np.float64)
-                present = np.zeros(span, dtype=bool)
-                for w, s, e in hits:
-                    idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                    acc[idx] += w * tfnorm
-                    present[idx] = True
-                idxs = np.flatnonzero(present)
-                docs_abs, scores = self._drop_excluded(
-                    base + idxs, acc[idxs], excl_abs, scope
+                idxs, sc = self._or_fold(
+                    part.n_windows * W, self._part_contribs(part_idx, hits)
                 )
-                if len(docs_abs):
-                    top_docs, top_scores = _merge_topk(
-                        top_docs, top_scores, docs_abs, scores, k
-                    )
-                    if len(top_docs) >= k:
-                        theta = top_scores[-1]
+                top.push(part.win_base * W + idxs, sc, excl_abs)
                 continue
             # sparse per-window upper bound (block-max), only over windows
             # where at least one query term has a block.  SOUNDNESS under
@@ -820,66 +837,30 @@ class IndexShard:
             # descending-bound order with block-max pruning.  An unfilled
             # heap prunes nothing, so the bounds are computed only once the
             # heap holds k docs.
-            heap_full = len(top_docs) >= k
-            if heap_full:
+            maxscore = not top.full
+            if top.full:
                 uniq_wins, ub, _ = self._window_bounds(part, hits)
-                maxscore = int((ub >= theta).sum()) * 2 > len(uniq_wins)
-            if not heap_full or maxscore:
+                maxscore = int((ub >= top.theta).sum()) * 2 > len(uniq_wins)
+            if maxscore:
                 self.counters["maxscore_parts"] += 1
-                res = self._maxscore_part(
-                    part_idx, part, hits, theta if heap_full else NEG_INF
-                )
-                if res is None:
-                    continue
-                docs_abs, scores = self._drop_excluded(*res, excl_abs, scope)
-                if len(docs_abs) == 0:
-                    continue
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-                if len(top_docs) >= k:
-                    theta = top_scores[-1]
+                res = self._maxscore_part(part_idx, part, hits, top.theta)
+                if res is not None:
+                    top.push(*res, excl_abs)
                 continue
-
             order = np.argsort(-ub, kind="stable")
             for n_done, oi in enumerate(order):
-                bound = ub[oi]
-                if len(top_docs) >= k and bound < theta:
+                if ub[oi] < top.theta:
                     self.counters["windows_pruned"] += len(order) - n_done
                     break  # strict <: equal-bound windows still processed
                 win_abs = int(uniq_wins[oi])
-                if scope is not None and (
-                    (win_abs + 1) * W <= scope[0] or win_abs * W >= scope[1]
-                ):
+                if top.outside(win_abs * W, (win_abs + 1) * W):
                     continue  # window disjoint from the scope interval
                 self.counters["windows_scanned"] += 1
-                acc = np.zeros(W, dtype=np.float64)
-                present = np.zeros(W, dtype=bool)
-                base = win_abs * W
-                for w, s, e in hits:
-                    # binary search this term's block row for the window
-                    bi = s + int(np.searchsorted(part.win[s:e], win_abs))
-                    if bi >= e or part.win[bi] != win_abs:
-                        continue
-                    docs_abs, tf, dl = part.decode_range(bi, bi + 1)
-                    local = docs_abs - base
-                    contrib = w * self._tfnorm(tf, dl)
-                    acc[local] += contrib
-                    present[local] = True
-                idx = np.flatnonzero(present)
-                if len(idx) == 0:
-                    continue
-                docs_abs, scores = self._drop_excluded(
-                    base + idx, acc[idx], excl_abs, scope
+                idx, sc = self._or_fold(
+                    W, self._window_contribs(part, hits, win_abs)
                 )
-                if len(docs_abs) == 0:
-                    continue
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-                if len(top_docs) >= k:
-                    theta = top_scores[-1]
-        return top_docs, top_scores
+                top.push(win_abs * W + idx, sc, excl_abs)
+        return top.docs, top.scores
 
     def query_all(
         self, term_weights: Dict[str, float], k: int,
@@ -899,37 +880,15 @@ class IndexShard:
         block-max machinery is needed on this path."""
         W = self.window_docs
         nt = len(term_weights)
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0 or nt == 0:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            hits = [
-                (w, *part.term_slices[t])
-                for t, w in term_weights.items()
-                if t in part.term_slices
-            ]
-            if len(hits) < nt:
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
+            hits = self._hits(part, term_weights)
+            if not hits or len(hits) < nt:
                 continue  # some term absent from this part → no AND match
-            excl_abs = (
-                self._excluded_abs(part_idx, part, exclude_terms)
-                if exclude_terms else None
-            )
-            wins = None
-            for _, s, e in hits:
-                tw = part.win[s:e]  # sorted, one block row per window
-                wins = tw if wins is None else np.intersect1d(
-                    wins, tw, assume_unique=True
-                )
-                if not len(wins):
-                    break
-            if wins is None or not len(wins):
+            excl_abs = self._excluded_abs(part_idx, part, exclude_terms)
+            # a term's rows hold one block per window, in window order
+            wins = _intersect_all(part.win[s:e] for _, s, e in hits)
+            if not len(wins):
                 continue
             # adaptive execution, mirroring query(): when the intersection
             # covers most of the rarest term's windows (common-term ANDs),
@@ -948,7 +907,6 @@ class IndexShard:
                 # term's.  Scores are bit-identical (same per-doc addition
                 # order as the scatter).
                 span = part.n_windows * W
-                base = part.win_base * W
                 order = sorted(
                     hits, key=lambda h: part.row_starts[h[2]] - part.row_starts[h[1]]
                 )
@@ -961,41 +919,20 @@ class IndexShard:
                     v = dense[idx0]
                     ok &= v != 0.0
                     scores = scores + w * v
-                if ok.any():
-                    docs_abs, sc = self._drop_excluded(
-                        base + idx0[ok], scores[ok], excl_abs, scope
-                    )
-                    if len(docs_abs):
-                        top_docs, top_scores = _merge_topk(
-                            top_docs, top_scores, docs_abs, sc, k
-                        )
+                top.push(part.win_base * W + idx0[ok], scores[ok], excl_abs)
                 continue
             for win_abs in wins.tolist():
                 base = int(win_abs) * W
-                if scope is not None and (
-                    base + W <= scope[0] or base >= scope[1]
-                ):
+                if top.outside(base, base + W):
                     continue
                 acc = np.zeros(W, dtype=np.float64)
                 cnt = np.zeros(W, dtype=np.int64)
-                for w, s, e in hits:
-                    bi = s + int(np.searchsorted(part.win[s:e], win_abs))
-                    docs_abs, tf, dl = part.decode_range(bi, bi + 1)
-                    local = docs_abs - base
-                    acc[local] += w * self._tfnorm(tf, dl)
+                for local, c in self._window_contribs(part, hits, win_abs):
+                    acc[local] += c
                     cnt[local] += 1
                 idx = np.flatnonzero(cnt == nt)
-                if not len(idx):
-                    continue
-                docs_abs, scores = self._drop_excluded(
-                    base + idx, acc[idx], excl_abs, scope
-                )
-                if not len(docs_abs):
-                    continue
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-        return top_docs, top_scores
+                top.push(base + idx, acc[idx], excl_abs)
+        return top.docs, top.scores
 
     def query_bool(
         self, tree, term_weights: Dict[str, float], k: int, scope=None,
@@ -1019,25 +956,14 @@ class IndexShard:
         from oboyu_ray.pipelines.bm25_batch import bool_leaves
 
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
         pos_terms, all_terms = bool_leaves(tree)
         pos_sorted = sorted(pos_terms)
-        if k <= 0 or not pos_sorted:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        self.counters["queries"] += 1
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
             pos_in = [t for t in pos_sorted if t in part.term_slices]
             if not pos_in:
                 continue
             span = part.n_windows * W
-            base = part.win_base * W
             cand_list = [
                 self._contrib_cached(part_idx, *part.term_slices[t])[0]
                 for t in pos_in
@@ -1073,19 +999,12 @@ class IndexShard:
                     m = (m & ev(sub)) if op == "and" else (m | ev(sub))
                 return m
 
-            mask = ev(tree)
-            if not mask.any():
-                continue
-            sel = cand[mask]
+            sel = cand[ev(tree)]
             scores = np.zeros(len(sel), dtype=np.float64)
             for t in pos_in:
                 scores += term_weights[t] * dense[t][sel]
-            docs_abs, sc = self._drop_excluded(base + sel, scores, None, scope)
-            if len(docs_abs):
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, sc, k
-                )
-        return top_docs, top_scores
+            top.push(part.win_base * W + sel, scores)
+        return top.docs, top.scores
 
     def _range_cached(self, part_idx: int, part: _PartIndex,
                       ti0: int, ti1: int):
@@ -1136,27 +1055,14 @@ class IndexShard:
         import bisect
 
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0 or lo >= hi:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        self.counters["queries"] += 1
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top):
             ti0 = bisect.bisect_left(part.uniq_terms, lo)
             ti1 = bisect.bisect_left(part.uniq_terms, hi)
             if ti0 >= ti1:
                 continue
             self.counters["range_parts"] += 1
-            excl_abs = (
-                self._excluded_abs(part_idx, part, exclude_terms)
-                if exclude_terms else None
-            )
+            excl_abs = self._excluded_abs(part_idx, part, exclude_terms)
             idx, tfnorm, uniq_ix = self._range_cached(part_idx, part, ti0, ti1)
             # the weight vector for a range is a pure function of the index's
             # global stats, so the engine passes the prefix as weights_key
@@ -1177,18 +1083,11 @@ class IndexShard:
                     self._wuniq_cache[wk] = w_uniq
             contrib = w_uniq[uniq_ix] * tfnorm
             span = part.n_windows * W
-            base = part.win_base * W
             acc = np.bincount(idx, weights=contrib, minlength=span)
             cnt = np.bincount(idx, minlength=span)
             idxs = np.flatnonzero(cnt)
-            docs_abs, scores = self._drop_excluded(
-                base + idxs, acc[idxs], excl_abs, scope
-            )
-            if len(docs_abs):
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-        return top_docs, top_scores
+            top.push(part.win_base * W + idxs, acc[idxs], excl_abs)
+        return top.docs, top.scores
 
     def _positions_cached(self, part_idx: int, s: int, e: int):
         """FIFO-cached (docidx-repeated-per-occurrence, positions) for a
@@ -1227,126 +1126,70 @@ class IndexShard:
         otherwise — detected per part from the block schema).
         """
         W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        m = len(phrase_terms)
-        if k <= 0 or m == 0:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        distinct = list(dict.fromkeys(phrase_terms))
-        nt = len(distinct)
         PK = _PHRASE_PK
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            if not part.has_positions:
-                raise ValueError(
-                    "index was built without store_positions; rebuild with "
-                    "BuildConfig(store_positions=True) to enable phrase queries"
-                )
+        distinct = list(dict.fromkeys(phrase_terms))
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top, positions="phrase"):
             if any(t not in part.term_slices for t in distinct):
                 continue  # some term absent from this part → no match here
-            wins = None
-            for t in distinct:
-                s, e = part.term_slices[t]
-                tw = part.win[s:e]  # sorted, one block row per window
-                wins = tw if wins is None else np.intersect1d(
-                    wins, tw, assume_unique=True
-                )
-                if not len(wins):
-                    break
-            if wins is None or not len(wins):
+            slices = [part.term_slices[t] for t in phrase_terms]
+            wins = _intersect_all(part.win[s:e] for s, e in slices)
+            if not len(wins):
                 continue
             # adaptive execution, mirroring query_all: when the intersection
             # covers most of the rarest term's windows (common-term phrases),
             # the per-window decode loop loses to ONE whole-range packed
             # intersection through the positions cache
-            rarest = min(
-                part.term_slices[t][1] - part.term_slices[t][0] for t in distinct
-            )
+            rarest = min(e - s for s, e in slices)
             dense = len(wins) * 2 > rarest if force is None else force == "dense"
             if dense:
-                part_base = part.win_base * W
                 # intersect ascending-by-size: the packed keys already carry
                 # the phrase offset, so the chain is commutative — starting
                 # from the rarest term keeps `cur` (and every merge) small
                 # even when the phrase contains a head term
                 j_order = sorted(
-                    range(m),
+                    range(len(slices)),
                     key=lambda j: (
-                        part.row_starts[part.term_slices[phrase_terms[j]][1]]
-                        - part.row_starts[part.term_slices[phrase_terms[j]][0]]
+                        part.row_starts[slices[j][1]]
+                        - part.row_starts[slices[j][0]]
                     ),
                 )
-                cur = None
-                for j in j_order:
-                    t = phrase_terms[j]
-                    s, e = part.term_slices[t]
-                    idx_rep, pos = self._positions_cached(part_idx, s, e)
-                    keys = idx_rep * _PHRASE_PK + (pos - j)
-                    cur = keys if cur is None else np.intersect1d(
-                        cur, keys, assume_unique=True
-                    )
-                    if not len(cur):
-                        break
-                if cur is None or not len(cur):
-                    continue
-                hit_idx = np.unique(cur // _PHRASE_PK)
-                scores = np.zeros(len(hit_idx), dtype=np.float64)
-                for t in distinct:
-                    s, e = part.term_slices[t]
-                    idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                    ii = np.searchsorted(idx, hit_idx)
-                    scores += term_weights[t] * tfnorm[ii]
-                docs_abs, scores = self._drop_excluded(
-                    part_base + hit_idx, scores, None, scope
-                )
-                if len(docs_abs):
-                    top_docs, top_scores = _merge_topk(
-                        top_docs, top_scores, docs_abs, scores, k
-                    )
+
+                def keys(j):  # slot j's occurrences, shifted to phrase starts
+                    idx_rep, pos = self._positions_cached(part_idx, *slices[j])
+                    return idx_rep * PK + (pos - j)
+
+                cur = _intersect_all(keys(j) for j in j_order)
+                if len(cur):
+                    top.push(*self._score_hits(
+                        part_idx, part, distinct, term_weights,
+                        np.unique(cur // PK),
+                    ))
                 continue
             for win_abs in wins.tolist():
                 base = int(win_abs) * W
-                if scope is not None and (
-                    base + W <= scope[0] or base >= scope[1]
-                ):
+                if top.outside(base, base + W):
                     continue
-                data = {}
+                data, keys0 = {}, {}
                 for t in distinct:  # decode each distinct term's block ONCE
-                    s, e = part.term_slices[t]
-                    bi = s + int(np.searchsorted(part.win[s:e], win_abs))
+                    bi = self._block_row(part, *part.term_slices[t], win_abs)
                     docs_abs, tf, dl = part.decode_range(bi, bi + 1)
                     pos = part.decode_positions(bi, bi + 1, tf)
-                    data[t] = (docs_abs - base, tf, dl, pos)
-                cur = None
-                for j, t in enumerate(phrase_terms):
-                    local, tf, _, pos = data[t]
-                    keys = np.repeat(local, tf.astype(np.int64)) * PK + (pos - j)
-                    cur = keys if cur is None else np.intersect1d(
-                        cur, keys, assume_unique=True
-                    )
-                    if not len(cur):
-                        break
-                if cur is None or not len(cur):
+                    data[t] = (docs_abs - base, tf, dl)
+                    keys0[t] = np.repeat(data[t][0], tf.astype(np.int64)) * PK + pos
+                cur = _intersect_all(
+                    keys0[t] - j for j, t in enumerate(phrase_terms)
+                )
+                if not len(cur):
                     continue
                 hit_local = np.unique(cur // PK)
                 scores = np.zeros(len(hit_local), dtype=np.float64)
                 for t in distinct:
-                    local, tf, dl, _ = data[t]
+                    local, tf, dl = data[t]
                     ii = np.searchsorted(local, hit_local)
                     scores += term_weights[t] * self._tfnorm(tf[ii], dl[ii])
-                docs_abs, scores = self._drop_excluded(
-                    base + hit_local, scores, None, scope
-                )
-                if len(docs_abs):
-                    top_docs, top_scores = _merge_topk(
-                        top_docs, top_scores, docs_abs, scores, k
-                    )
-        return top_docs, top_scores
+                top.push(base + hit_local, scores)
+        return top.docs, top.scores
 
     def query_span_near(
         self, phrase_terms: List[str], window: int,
@@ -1367,64 +1210,28 @@ class IndexShard:
         Requires an index built with ``store_positions=True``."""
         from oboyu_ray.functions.spanmatch import SPAN_PK, ordered_span_docs
 
-        W = self.window_docs
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        m = len(phrase_terms)
-        if k <= 0 or m == 0 or int(window) < m - 1:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
+        if int(window) < len(phrase_terms) - 1:
+            k = 0  # no ordered span of m terms fits in fewer than m − 1
         distinct = list(dict.fromkeys(phrase_terms))
-        self.counters["queries"] += 1
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            if not part.has_positions:
-                raise ValueError(
-                    "index was built without store_positions; rebuild with "
-                    "BuildConfig(store_positions=True) to enable span queries"
-                )
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top, positions="span"):
             if any(t not in part.term_slices for t in distinct):
                 continue
-            wins = None
-            for t in distinct:
-                s, e = part.term_slices[t]
-                tw = part.win[s:e]
-                wins = tw if wins is None else np.intersect1d(
-                    wins, tw, assume_unique=True
-                )
-                if not len(wins):
-                    break
-            if wins is None or not len(wins):
+            slices = [part.term_slices[t] for t in distinct]
+            if not len(_intersect_all(part.win[s:e] for s, e in slices)):
                 continue
-            part_base = part.win_base * W
             keys_by_term: Dict[str, np.ndarray] = {}
-            for t in distinct:
-                s, e = part.term_slices[t]
+            for t, (s, e) in zip(distinct, slices):
                 idx_rep, pos = self._positions_cached(part_idx, s, e)
                 keys_by_term[t] = idx_rep * SPAN_PK + pos
             hit_idx = ordered_span_docs(
                 [keys_by_term[t] for t in phrase_terms], int(window), SPAN_PK
             )
-            if not len(hit_idx):
-                continue
-            scores = np.zeros(len(hit_idx), dtype=np.float64)
-            for t in distinct:
-                s, e = part.term_slices[t]
-                idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                ii = np.searchsorted(idx, hit_idx)
-                scores += term_weights[t] * tfnorm[ii]
-            docs_abs, scores = self._drop_excluded(
-                part_base + hit_idx, scores, None, scope
-            )
-            if len(docs_abs):
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-        return top_docs, top_scores
+            if len(hit_idx):
+                top.push(*self._score_hits(
+                    part_idx, part, distinct, term_weights, hit_idx
+                ))
+        return top.docs, top.scores
 
     def query_near(
         self, term_a: str, term_b: str, window: int,
@@ -1437,23 +1244,8 @@ class IndexShard:
         part and the distance test is two vectorized searchsorted sweeps
         through the positions cache (cross-doc ranges disjoint because
         position < 2^40).  Requires a positional index."""
-        top_docs = np.empty(0, dtype=np.int64)
-        top_scores = np.empty(0, dtype=np.float64)
-        if k <= 0:
-            return top_docs, top_scores
-        if scope is not None:
-            scope = (int(scope[0]), int(scope[1]))
-            if scope[0] >= scope[1]:
-                return top_docs, top_scores
-        W = self.window_docs
-        for part_idx, part in enumerate(self.parts):
-            if self._part_outside_scope(part, scope):
-                continue
-            if not part.has_positions:
-                raise ValueError(
-                    "index was built without store_positions; rebuild with "
-                    "BuildConfig(store_positions=True) to enable NEAR queries"
-                )
+        top = _TopK(k, scope)
+        for part_idx, part in self._walk(top, positions="NEAR"):
             sa = part.term_slices.get(term_a)
             sb = part.term_slices.get(term_b)
             if sa is None or sb is None:
@@ -1479,23 +1271,12 @@ class IndexShard:
                 lo = np.searchsorted(B, A - window)
                 hi = np.searchsorted(B, A + window + 1)
                 hit = hi > lo
-            if not hit.any():
-                continue
-            hit_idx = np.unique(ia[hit])
-            scores = np.zeros(len(hit_idx), dtype=np.float64)
-            for t in ({term_a, term_b}):
-                s, e = part.term_slices[t]
-                idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                ii = np.searchsorted(idx, hit_idx)
-                scores += term_weights[t] * tfnorm[ii]
-            docs_abs, scores = self._drop_excluded(
-                part.win_base * W + hit_idx, scores, None, scope
-            )
-            if len(docs_abs):
-                top_docs, top_scores = _merge_topk(
-                    top_docs, top_scores, docs_abs, scores, k
-                )
-        return top_docs, top_scores
+            if hit.any():
+                top.push(*self._score_hits(
+                    part_idx, part, dict.fromkeys((term_a, term_b)),
+                    term_weights, np.unique(ia[hit]),
+                ))
+        return top.docs, top.scores
 
     def _maxscore_part(
         self,
@@ -1552,6 +1333,7 @@ class IndexShard:
         P = float(prefix[jstar - 1]) if jstar > 0 else 0.0
         W = self.window_docs
         base = part.win_base * W
+        span = part.n_windows * W
 
         if len(ess) == 1:
             w, s, e = ess[0]
@@ -1562,15 +1344,7 @@ class IndexShard:
             # dense scatter over the part span beats a sparse union here:
             # an O(span) zero/scan costs less than sorting the concatenated
             # essential lists (measured: sparse-union sort ≈ 2× the scatter)
-            span = part.n_windows * W
-            acc = np.zeros(span, dtype=np.float64)
-            present = np.zeros(span, dtype=bool)
-            for w, s, e in ess:
-                idx, tfnorm = self._contrib_cached(part_idx, s, e)
-                acc[idx] += w * tfnorm
-                present[idx] = True
-            cand = np.flatnonzero(present)
-            sc = acc[cand]
+            cand, sc = self._or_fold(span, self._part_contribs(part_idx, ess))
         if noness:
             sc = np.asarray(sc, dtype=np.float64).copy()
             # pair each non-essential term with its part-level bound;
@@ -1581,7 +1355,6 @@ class IndexShard:
                 key=lambda p: -p[1],
             )
             rem = P
-            span = part.n_windows * W
             for (w, s, e), ub_t in noness_ub:
                 if theta > NEG_INF and len(cand):
                     # drop candidates that cannot reach θ even if every
@@ -1608,11 +1381,8 @@ class IndexShard:
         return base + cand, sc
 
     def _tfnorm(self, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        # set per-query via configure(); defaults match BM25Config
-        k1 = getattr(self, "k1", 1.2)
-        b = getattr(self, "b", 0.75)
-        avgdl = getattr(self, "avgdl", 1.0)
-        return (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl)))
+        k1, b = self.k1, self.b
+        return (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / self.avgdl)))
 
     def explain(
         self, term_weights: Dict[str, float], doc_abs: int
@@ -1633,11 +1403,8 @@ class IndexShard:
                 continue
             for t, w in term_weights.items():
                 se = part.term_slices.get(t)
-                if not se:
-                    continue
-                s, e = se
-                bi = s + int(np.searchsorted(part.win[s:e], win))
-                if bi >= e or part.win[bi] != win:
+                bi = self._block_row(part, *se, win) if se else -1
+                if bi < 0:
                     continue
                 docs, tf, dl = part.decode_range(bi, bi + 1)
                 j = int(np.searchsorted(docs, doc_abs))
