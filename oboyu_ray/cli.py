@@ -79,302 +79,38 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    _ensure_ray(args.num_cpus)
     from oboyu_ray.config_loader import ConfigManager
-    from oboyu_ray.pipelines.query import QueryEngine
+    from oboyu_ray.pipelines import search_modes
 
-    # CLI > --config YAML > defaults (None = flag not provided)
-    qcfg = ConfigManager(getattr(args, "config", None)).merge_cli_overrides(
-        "query",
-        {
-            "k": getattr(args, "k", None),
-            "num_shards": getattr(args, "num_shards", None),
-            "hydrate": getattr(args, "hydrate", None),
-            "require_all": getattr(args, "require_all", None),
-        },
-    )
-    k, num_shards = int(qcfg["k"]), qcfg["num_shards"]
-    hydrate, require_all = bool(qcfg["hydrate"]), bool(qcfg["require_all"])
-
-    pattern_mode = (
-        getattr(args, "regex", None) is not None
-        or getattr(args, "wildcard", None) is not None
-        or getattr(args, "more_like", None) is not None
-        or getattr(args, "bool_expr", None) is not None
-    )
-    if not pattern_mode and not getattr(args, "q", None):
-        print("query: --q is required (except with --regex/--wildcard)",
-              file=sys.stderr)
+    a = {**search_modes.CLI_DEFAULTS, **vars(args)}
+    req = search_modes.cli_request(a)
+    try:
+        search_modes.validate(req)
+        search_modes.read_cli_files(req)
+        # CLI > --config YAML > defaults (None = flag not provided); a file
+        # default applies only where the mode honours it, never refused
+        qcfg = ConfigManager(a["config"]).merge_cli_overrides(
+            "query", {key: a[key] for key in ("k", "num_shards", "hydrate", "require_all")})
+    except (OSError, ValueError) as e:
+        print(f"query: {e}", file=sys.stderr)
         return 2
-
-    page = int(getattr(args, "page", 0) or 0)
-    if page and (
-        getattr(args, "phrase", False) or getattr(args, "prefix", False)
-        or getattr(args, "near", None) is not None
-        or getattr(args, "fuzzy", None) is not None
-        or getattr(args, "regex", None) is not None
-        or getattr(args, "wildcard", None) is not None
-        or getattr(args, "more_like", None) is not None
-        or getattr(args, "bool_expr", None) is not None
-        or bool(getattr(args, "synonyms", None))
-        or getattr(args, "dismax", None) is not None
-        or bool(getattr(args, "boosts", None))
-        or getattr(args, "span_near", None) is not None
-        or getattr(args, "federate", None)
-    ):
-        print("query --page is only supported in plain search mode",
-              file=sys.stderr)
-        return 2
-
-    if getattr(args, "collapse", False) and (
-        pattern_mode
-        or getattr(args, "phrase", False) or getattr(args, "prefix", False)
-        or getattr(args, "near", None) is not None
-        or getattr(args, "span_near", None) is not None
-        or getattr(args, "fuzzy", None) is not None
-        or bool(getattr(args, "synonyms", None))
-        or getattr(args, "dismax", None) is not None
-        or bool(getattr(args, "boosts", None))
-        or page or getattr(args, "count", False)
-        or getattr(args, "federate", None)
-    ):
-        print("query --collapse is only supported in plain search mode "
-              "(with --require-all/--exclude/--scope/--hydrate)",
-              file=sys.stderr)
-        return 2
-
-    # ONE retrieval mode per invocation — the elif dispatch below would
-    # otherwise silently answer whichever mode wins precedence
-    mode_flags = [
-        ("--phrase", bool(getattr(args, "phrase", False))),
-        ("--prefix", bool(getattr(args, "prefix", False))),
-        ("--near", getattr(args, "near", None) is not None),
-        ("--span-near", getattr(args, "span_near", None) is not None),
-        ("--fuzzy", getattr(args, "fuzzy", None) is not None),
-        ("--regex", getattr(args, "regex", None) is not None),
-        ("--wildcard", getattr(args, "wildcard", None) is not None),
-        ("--more-like", getattr(args, "more_like", None) is not None),
-        ("--bool", getattr(args, "bool_expr", None) is not None),
-        ("--synonyms", bool(getattr(args, "synonyms", None))),
-        ("--dismax", getattr(args, "dismax", None) is not None),
-        ("--boosts", bool(getattr(args, "boosts", None))),
-    ]
-    on_modes = [f for f, v in mode_flags if v]
-    if len(on_modes) > 1:
-        print("query: " + ", ".join(on_modes) + " are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    # --exclude is honoured by plain search and --boosts only, and a
-    # command-line --require-all by plain search only: refuse the rest
-    # instead of answering without them (under --federate too)
-    dropped = []
-    if on_modes and getattr(args, "exclude", None) and on_modes != ["--boosts"]:
-        dropped.append("--exclude")
-    if on_modes and getattr(args, "require_all", None) is not None:
-        dropped.append("--require-all")
-    if dropped:
-        print(f"query: {', '.join(dropped)} is not supported with "
-              f"{on_modes[0]}", file=sys.stderr)
-        return 2
-
-    if getattr(args, "federate", None):
+    req.k, req.hydrate = int(qcfg["k"]), bool(qcfg["hydrate"])
+    req.require_all = bool(qcfg["require_all"])
+    _ensure_ray(a["num_cpus"])
+    if req.federate:
         from oboyu_ray.pipelines.federated import FederatedEngine
 
-        # the federated path supports plain + fuzzy only — refuse the
-        # other modes loudly instead of silently answering a different
-        # query (scope/phrase/near/prefix fall through to plain otherwise)
-        unsupported = [
-            flag for flag, on in (
-                ("--scope", bool(getattr(args, "scope", None))),
-                ("--phrase", bool(getattr(args, "phrase", False))),
-                ("--near", getattr(args, "near", None) is not None),
-                ("--prefix", bool(getattr(args, "prefix", False))),
-                ("--regex", getattr(args, "regex", None) is not None),
-                ("--wildcard", getattr(args, "wildcard", None) is not None),
-                ("--more-like", getattr(args, "more_like", None) is not None),
-                ("--bool", getattr(args, "bool_expr", None) is not None),
-                ("--synonyms", bool(getattr(args, "synonyms", None))),
-                ("--dismax", getattr(args, "dismax", None) is not None),
-                ("--boosts", bool(getattr(args, "boosts", None))),
-                ("--span-near", getattr(args, "span_near", None) is not None),
-                ("--snippet", bool(getattr(args, "snippet", False))),
-                ("--hydrate-for-fuzzy",
-                 hydrate and getattr(args, "fuzzy", None) is not None),
-            ) if on
-        ]
-        if unsupported:
-            print(
-                "query --federate does not support: "
-                + ", ".join(unsupported), file=sys.stderr,
-            )
-            return 2
-        members = [args.index_dir] + [
-            d for d in args.federate.split(",") if d
-        ]
-        if getattr(args, "count", False) and (
-            getattr(args, "fuzzy", None) is not None
-            or bool(getattr(args, "snippet", False))
-            or page or hydrate
-        ):
-            print("query --count is only supported in plain search mode "
-                  "(with --require-all/--exclude; no "
-                  "--snippet/--page/--hydrate)", file=sys.stderr)
-            return 2
-        engine = FederatedEngine(members, num_shards_each=num_shards)
-        if getattr(args, "count", False):
-            print(engine.count_matches(
-                args.q, require_all=require_all,
-                exclude=getattr(args, "exclude", None),
-            ))
-            engine.close()
-            return 0
-        if getattr(args, "fuzzy", None) is not None:
-            out = engine.search_fuzzy(args.q, max_edits=args.fuzzy, k=k)
-        else:
-            out = engine.search(
-                args.q, k=k, hydrate=hydrate,
-                require_all=require_all,
-                exclude=getattr(args, "exclude", None),
-            )
-        print(out.to_string(index=False))
-        engine.close()
-        return 0
-
-    engine = QueryEngine(args.index_dir, num_shards=num_shards)
-    scope = None
-    if getattr(args, "scope", None):
-        lo, _, hi = args.scope.partition(":")
-        scope = (int(lo), int(hi))
-    if getattr(args, "count", False) and (
-        getattr(args, "phrase", False) or getattr(args, "prefix", False)
-        or getattr(args, "near", None) is not None
-        or getattr(args, "span_near", None) is not None
-        or getattr(args, "fuzzy", None) is not None
-        or getattr(args, "regex", None) is not None
-        or getattr(args, "wildcard", None) is not None
-        or getattr(args, "more_like", None) is not None
-        or getattr(args, "bool_expr", None) is not None
-        or bool(getattr(args, "synonyms", None))
-        or getattr(args, "dismax", None) is not None
-        or bool(getattr(args, "boosts", None))
-        # results-shaping flags are meaningless on a bare count — refuse,
-        # never silently drop (the silently-dropped-flag hazard)
-        or bool(getattr(args, "snippet", False))
-        or page
-        or hydrate
-    ):
-        print("query --count is only supported in plain search mode "
-              "(with --require-all/--exclude/--scope; no "
-              "--snippet/--page/--hydrate)", file=sys.stderr)
-        engine.close()
-        return 2
-    if getattr(args, "count", False):
-        n = engine.count_matches(
-            args.q, require_all=require_all,
-            exclude=getattr(args, "exclude", None), scope=scope,
-        )
-        print(n)
-        engine.close()
-        return 0
-    if getattr(args, "near", None) is not None:
-        sides = args.q.split()
-        if len(sides) != 2:
-            print("query --near takes exactly two terms in --q", file=sys.stderr)
-            engine.close()
-            return 2
-        out = engine.search_near(
-            sides[0], sides[1], window=args.near, k=k,
-            hydrate=hydrate, scope=scope,
-        )
-    elif getattr(args, "prefix", False):
-        out = engine.search_prefix(
-            args.q, k=k, hydrate=hydrate, resolve=True, scope=scope
-        )
-    elif getattr(args, "fuzzy", None) is not None:
-        out = engine.search_fuzzy(
-            args.q, max_edits=args.fuzzy, k=k, hydrate=hydrate,
-            resolve=True, scope=scope,
-        )
-    elif getattr(args, "regex", None) is not None:
-        out = engine.search_regex(
-            args.regex, k=k, hydrate=hydrate, resolve=True, scope=scope
-        )
-    elif getattr(args, "wildcard", None) is not None:
-        out = engine.search_wildcard(
-            args.wildcard, k=k, hydrate=hydrate, resolve=True, scope=scope
-        )
-    elif getattr(args, "more_like", None) is not None:
-        out = engine.more_like_this(
-            int(args.more_like), k=k, hydrate=hydrate, resolve=True,
-            scope=scope,
-        )
-    elif getattr(args, "bool_expr", None) is not None:
-        out = engine.search_bool(
-            args.bool_expr, k=k, hydrate=hydrate, resolve=True, scope=scope
-        )
-    elif getattr(args, "synonyms", None):
-        import json as _json
-
-        with open(args.synonyms) as f:
-            syn = _json.load(f)
-        out = engine.search_synonym(
-            args.q, syn, k=k, hydrate=hydrate, resolve=True, scope=scope
-        )
-    elif getattr(args, "dismax", None) is not None:
-        out = engine.search_dismax(
-            args.q, k=k, tiebreak=float(args.dismax), hydrate=hydrate,
-            resolve=True, scope=scope,
-        )
-    elif getattr(args, "boosts", None):
-        import json as _json
-
-        with open(args.boosts) as f:
-            boosts = _json.load(f)
-        out = engine.search_boosted(
-            args.q, boosts, k=k, hydrate=hydrate, resolve=True,
-            exclude=getattr(args, "exclude", None), scope=scope,
-        )
-    elif getattr(args, "span_near", None) is not None:
-        out = engine.search_span_near(
-            args.q, window=int(args.span_near), k=k, hydrate=hydrate,
-            scope=scope,
-        )
-    elif getattr(args, "phrase", False):
-        out = engine.search_phrase(
-            args.q, k=k, hydrate=hydrate, scope=scope
-        )
-    elif getattr(args, "collapse", False):
-        out = engine.search_collapse(
-            args.q, k=k, hydrate=hydrate,
-            require_all=require_all,
-            exclude=getattr(args, "exclude", None),
-            scope=scope,
-        )
-    elif page:
-        out = engine.search_page(
-            args.q, k=k, page=page, hydrate=hydrate,
-            require_all=require_all,
-            exclude=getattr(args, "exclude", None),
-            scope=scope,
-        )
+        members = [a["index_dir"]] + [d for d in req.federate.split(",") if d]
+        engine = FederatedEngine(members, num_shards_each=qcfg["num_shards"])
     else:
-        out = engine.search(
-            args.q, k=k, hydrate=hydrate,
-            require_all=require_all,
-            exclude=getattr(args, "exclude", None),
-            scope=scope,
-        )
-    if getattr(args, "snippet", False):
-        # reference result shape: snippet per hit, query terms highlighted;
-        # needs text — hydrate implicitly when the mode didn't already, and
-        # keep the text only when --hydrate asked for it
-        if "text" not in out.columns and len(out):
-            out = engine._hydrate(out)
-        out = engine.attach_snippets(out, args.q or "", highlight=True)
-        if not hydrate and "text" in out.columns:
-            out = out.drop(columns=["text"])
-    print(out.to_string(index=False))
-    engine.close()
+        from oboyu_ray.pipelines.query import QueryEngine
+
+        engine = QueryEngine(a["index_dir"], num_shards=qcfg["num_shards"])
+    try:
+        out = search_modes.run(engine, req)
+    finally:
+        engine.close()
+    print(out if req.count else out.to_string(index=False))
     return 0
 
 
@@ -482,7 +218,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="oboyu_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -652,8 +388,11 @@ def main(argv=None) -> int:
     c.add_argument("--out", required=True)
     c.add_argument("--num-cpus", type=int, default=None)
     c.set_defaults(fn=cmd_corpus)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     rc = args.fn(args)
 
     import ray

@@ -6,7 +6,9 @@ heavy MCP SDK isn't in this container, but the protocol itself is public
 and small: newline-delimited JSON-RPC 2.0 over stdio with ``initialize`` /
 ``tools/list`` / ``tools/call``.  This module implements exactly that with
 the stdlib, delegating tool bodies to ``pipelines/file_index.py`` (the
-plain-python API the reference's tools wrap).
+plain-python API the reference's tools wrap); ``search`` answers through
+the retrieval-mode table of ``pipelines/search_modes.py``, like CLI
+``query``.
 
 Transport loop is dependency-injected (any readable/writable text streams)
 so tests drive the full protocol in-process; ``python -m
@@ -197,121 +199,19 @@ class McpServer:
             self._engines[index_dir] = open_search(index_dir)
         return self._engines[index_dir]
 
-    def tool_search(
-        self, query: str, index_dir: str, top_k: int = 5,
-        require_all: bool = False, phrase: bool = False,
-        prefix: bool = False, near: Optional[int] = None,
-        fuzzy: Optional[int] = None, scope: Optional[list] = None,
-        page: int = 0, regex: bool = False, wildcard: bool = False,
-        bool_query: bool = False, dismax: Optional[float] = None,
-        boosts: Optional[Dict] = None, span_near: Optional[int] = None,
-        snippet: bool = False, count_only: bool = False,
-        collapse: bool = False,
-    ) -> Dict:
-        # scope composes with every mode (the engine methods all take it) —
-        # never silently drop it on the fuzzy/prefix/phrase/near branches
-        sc = (int(scope[0]), int(scope[1])) if scope else None
-        # pagination is a plain-search feature; refuse it elsewhere instead
-        # of silently answering page 0 (the silently-dropped-flag hazard)
-        if int(page) and (phrase or prefix or near is not None
-                          or fuzzy is not None or regex or wildcard
-                          or bool_query or dismax is not None or boosts
-                          or span_near is not None):
-            raise ValueError("page is only supported in plain search mode")
-        # ONE retrieval mode per call: the elif chain below would otherwise
-        # silently answer whichever mode wins precedence (the
-        # silently-answered-different-query hazard)
-        modes = (bool(phrase), bool(prefix), near is not None,
-                 fuzzy is not None, bool(regex), bool(wildcard),
-                 bool(bool_query), dismax is not None, bool(boosts),
-                 span_near is not None)
-        if sum(modes) > 1:
-            raise ValueError(
-                "phrase/prefix/near/fuzzy/regex/wildcard/bool_query/dismax/"
-                "boosts/span_near are mutually exclusive"
-            )
-        # only plain search honours require_all: refuse it elsewhere
-        if require_all and any(modes):
-            raise ValueError("require_all is only supported in plain search mode")
-        eng = self._engine(index_dir)
-        if count_only:
-            if any(modes) or int(page) or snippet or collapse:
-                raise ValueError(
-                    "count_only is only supported in plain search mode"
-                )
-            n = eng.count_matches(query, require_all=bool(require_all), scope=sc)
-            return {"count": int(n), "stats": {"query": query}}
-        if collapse:
-            if any(modes) or int(page):
-                raise ValueError(
-                    "collapse is only supported in plain search mode"
-                )
-            df = eng.search_collapse(
-                query, k=int(top_k), hydrate=True,
-                require_all=bool(require_all), scope=sc,
-            )
-        elif span_near is not None:
-            df = eng.search_span_near(
-                query, window=int(span_near), k=int(top_k), hydrate=True,
-                scope=sc,
-            )
-        elif dismax is not None:
-            df = eng.search_dismax(
-                query, k=int(top_k), tiebreak=float(dismax), hydrate=True,
-                resolve=True, scope=sc,
-            )
-        elif boosts:
-            df = eng.search_boosted(
-                query, {str(t): float(w) for t, w in boosts.items()},
-                k=int(top_k), hydrate=True, resolve=True, scope=sc,
-            )
-        elif bool_query:
-            df = eng.search_bool(query, k=int(top_k), hydrate=True, scope=sc)
-        elif regex or wildcard:
-            fn = eng.search_regex if regex else eng.search_wildcard
-            df = fn(query, k=int(top_k), hydrate=True, resolve=True, scope=sc)
-        elif near is not None:
-            sides = query.split()
-            if len(sides) != 2:
-                raise ValueError("near search takes exactly two terms")
-            df = eng.search_near(
-                sides[0], sides[1], window=int(near), k=int(top_k),
-                hydrate=True, scope=sc,
-            )
-        elif fuzzy is not None:
-            df = eng.search_fuzzy(
-                query, max_edits=int(fuzzy), k=int(top_k), hydrate=True,
-                resolve=True, scope=sc,
-            )
-        elif prefix:
-            df = eng.search_prefix(
-                query, k=int(top_k), hydrate=True, resolve=True, scope=sc
-            )
-        elif phrase:
-            df = eng.search_phrase(query, k=int(top_k), hydrate=True, scope=sc)
-        elif int(page):
-            df = eng.search_page(
-                query, k=int(top_k), page=int(page), hydrate=True,
-                require_all=bool(require_all), scope=sc,
-            )
-        else:
-            df = eng.search(
-                query, k=int(top_k), hydrate=True, require_all=bool(require_all),
-                scope=sc,
-            )
-        if snippet:
-            # reference result shape: per-hit match snippet with the query
-            # terms highlighted (pattern modes fall back to head snippets —
-            # the matched terms are only known term-wise for term queries)
-            df = eng.attach_snippets(df, query, highlight=True)
+    def tool_search(self, query: str, index_dir: str, top_k: int = 5,
+                    **options) -> Dict:
+        from oboyu_ray.pipelines import search_modes
+
+        req = search_modes.mcp_request(query, top_k, **options)
+        search_modes.validate(req)  # refused before the engine opens
+        out = search_modes.run(self._engine(index_dir), req)
+        if req.count:
+            return {"count": out, "stats": {"query": query}}
         results = [
-            {
-                "uri": str(r["doc_id"]),
-                "score": float(r["score"]),
-                "content": r.get("snippet", r.get("text", ""))
-                if snippet else r.get("text", ""),
-            }
-            for r in df.to_dict("records")
+            {"uri": str(r["doc_id"]), "score": float(r["score"]),
+             "content": r.get("snippet" if req.snippet else "text", r.get("text", ""))}
+            for r in out.to_dict("records")
         ]
         return {"results": results, "stats": {"count": len(results), "query": query}}
 

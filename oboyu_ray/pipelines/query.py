@@ -16,6 +16,7 @@ into a dict once.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -130,6 +131,7 @@ class VocabLookup:
         # lookup is: binary-search the row group, read ONLY it, searchsorted
         # inside — measured ~2 ms vs 50-300 ms for read_table(filters=...))
         self._pf_cache: Dict[str, tuple] = {}
+        self._pfx_sorted: Optional[tuple] = None
         self._map: Optional[Dict[str, int]] = None
         if total <= VOCAB_INMEM_LIMIT:
             m: Dict[str, int] = {}
@@ -138,13 +140,9 @@ class VocabLookup:
                 m.update(zip(t.column("term").to_pylist(), t.column("df").to_pylist()))
             self._map = m
 
-    def _point_lookup(self, f: str, terms_sorted: List[str]) -> Dict[str, int]:
-        """df of sorted terms from one term-sorted vocab file via row-group
-        statistics: binary-search the covering row group per term, decode
-        only the needed groups, searchsorted inside.  Terms absent from the
-        vocabulary simply don't appear in the result (df 0 upstream)."""
-        import bisect
-
+    def _row_groups(self, f: str) -> tuple:
+        """``(ParquetFile, per-row-group min term)`` of one vocab file,
+        opened once per lookup object."""
         cached = self._pf_cache.get(f)
         if cached is None:
             pf = pq.ParquetFile(f)
@@ -152,9 +150,45 @@ class VocabLookup:
                 pf.metadata.row_group(i).column(0).statistics.min
                 for i in range(pf.metadata.num_row_groups)
             ]
-            cached = (pf, mins)
-            self._pf_cache[f] = cached
-        pf, mins = cached
+            cached = self._pf_cache[f] = (pf, mins)
+        return cached
+
+    def _sorted_vocab(self) -> tuple:
+        """The in-memory vocabulary packed once as (sorted term list,
+        aligned int64 df array): a term range is then two bisects and a
+        slice — the per-item startswith sweep measured 26-35 ms at 279k
+        terms, this ~0.1 ms."""
+        if self._pfx_sorted is None:
+            terms = sorted(self._map.keys())
+            dfs_np = np.fromiter(
+                (self._map[t] for t in terms), dtype=np.int64, count=len(terms),
+            )
+            self._pfx_sorted = (terms, dfs_np)
+        return self._pfx_sorted
+
+    def _sweep(self, scan, scan_remote, args: tuple, parallel: bool,
+               max_terms: int) -> Dict[str, int]:
+        """Union of ``scan(file, *args, max_terms)`` over every vocab file:
+        as parallel Ray tasks, or serially stopping once past
+        ``max_terms`` (the caller raises)."""
+        out: Dict[str, int] = {}
+        if parallel and len(self.files) > 1:
+            futs = [scan_remote.remote(f, *args, max_terms) for f in self.files]
+            for part in ray.get(futs):
+                out.update(part)
+        else:
+            for f in self.files:
+                out.update(scan(f, *args, max_terms))
+                if len(out) > max_terms:
+                    break
+        return out
+
+    def _point_lookup(self, f: str, terms_sorted: List[str]) -> Dict[str, int]:
+        """df of sorted terms from one term-sorted vocab file via row-group
+        statistics: binary-search the covering row group per term, decode
+        only the needed groups, searchsorted inside.  Terms absent from the
+        vocabulary simply don't appear in the result (df 0 upstream)."""
+        pf, mins = self._row_groups(f)
         if not mins:
             return {}
         by_group: Dict[int, List[str]] = {}
@@ -186,40 +220,15 @@ class VocabLookup:
         hi = prefix + "￿"  # exclusive upper bound of the prefix range
         out: Dict[str, int] = {}
         if self._map is not None:
-            # lazily pack the vocabulary once (sorted term list + aligned
-            # df array): every expansion is then two bisects + one slice —
-            # the per-item startswith sweep measured 26-35 ms at 279k terms,
-            # this ~0.1 ms
-            import bisect
-
-            cache = getattr(self, "_pfx_sorted", None)
-            if cache is None:
-                terms = sorted(self._map.keys())
-                dfs_np = np.fromiter(
-                    (self._map[t] for t in terms), dtype=np.int64,
-                    count=len(terms),
-                )
-                cache = self._pfx_sorted = (terms, dfs_np)
-            terms, dfs_np = cache
+            terms, dfs_np = self._sorted_vocab()
             i0 = bisect.bisect_left(terms, prefix)
             i1 = bisect.bisect_left(terms, hi)
             out = {
                 t: int(d) for t, d in zip(terms[i0:i1], dfs_np[i0:i1])
             }
         else:
-            import bisect
-
             for f in self.files:
-                cached = self._pf_cache.get(f)
-                if cached is None:
-                    pf = pq.ParquetFile(f)
-                    mins = [
-                        pf.metadata.row_group(i).column(0).statistics.min
-                        for i in range(pf.metadata.num_row_groups)
-                    ]
-                    cached = (pf, mins)
-                    self._pf_cache[f] = cached
-                pf, mins = cached
+                pf, mins = self._row_groups(f)
                 if not mins:
                     continue
                 g0 = max(bisect.bisect_right(mins, prefix) - 1, 0)
@@ -251,8 +260,9 @@ class VocabLookup:
         files sweep as parallel Ray tasks (the same fan-out shape as
         ``df_fuzzy`` — a regex has no hash locality).  ``literal_prefix``
         (the pattern's leading literal run, supplied by the wildcard
-        rewrite) prunes the sweep to the covering term range exactly like
-        ``df_prefix``.  Raises past ``max_terms`` — an unbounded ``.*`` is a
+        rewrite) narrows the in-memory scan to the covering term range
+        exactly like ``df_prefix``; the file sweep reads every term.
+        Raises past ``max_terms`` — an unbounded ``.*`` is a
         user error, not a silent full-vocabulary OR query."""
         import pyarrow as _pa
         import pyarrow.compute as _pc
@@ -262,17 +272,7 @@ class VocabLookup:
         anchored = f"^(?:{pattern})$"
         out: Dict[str, int] = {}
         if self._map is not None:
-            import bisect
-
-            cache = getattr(self, "_pfx_sorted", None)
-            if cache is None:
-                terms = sorted(self._map.keys())
-                dfs_np = np.fromiter(
-                    (self._map[t] for t in terms), dtype=np.int64,
-                    count=len(terms),
-                )
-                cache = self._pfx_sorted = (terms, dfs_np)
-            terms, dfs_np = cache
+            terms, dfs_np = self._sorted_vocab()
             i0, i1 = 0, len(terms)
             if literal_prefix:
                 i0 = bisect.bisect_left(terms, literal_prefix)
@@ -283,18 +283,9 @@ class VocabLookup:
             ).to_numpy(zero_copy_only=False)
             for ix in np.flatnonzero(m):
                 out[sl[int(ix)]] = int(dfs_np[i0 + int(ix)])
-        elif parallel and len(self.files) > 1:
-            futs = [
-                _scan_vocab_regex_file.remote(f, anchored, max_terms)
-                for f in self.files
-            ]
-            for part in ray.get(futs):
-                out.update(part)
         else:
-            for f in self.files:
-                out.update(_regex_scan_table(f, anchored, max_terms))
-                if len(out) > max_terms:
-                    break
+            out = self._sweep(_regex_scan_table, _scan_vocab_regex_file,
+                              (anchored,), parallel, max_terms)
         if len(out) > max_terms:
             raise ValueError(
                 f"regex {pattern!r} expands to >{max_terms} terms; "
@@ -351,18 +342,9 @@ class VocabLookup:
             fv, terms, dfs_np = cache
             for ix in fv.candidates(q, d):
                 out[terms[int(ix)]] = int(dfs_np[int(ix)])
-        elif parallel and len(self.files) > 1:
-            futs = [
-                _scan_vocab_fuzzy_file.remote(f, q, d, max_terms)
-                for f in self.files
-            ]
-            for part in ray.get(futs):
-                out.update(part)
         else:
-            for f in self.files:
-                out.update(_fuzzy_scan_table(f, q, d, max_terms))
-                if len(out) > max_terms:
-                    break
+            out = self._sweep(_fuzzy_scan_table, _scan_vocab_fuzzy_file,
+                              (q, d), parallel, max_terms)
         if len(out) > max_terms:
             raise ValueError(
                 f"fuzzy {q!r}~{d} expands to >{max_terms} terms; "

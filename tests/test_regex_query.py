@@ -100,3 +100,55 @@ def test_regex_topk_matches_duckdb_oracle(sf_dir):
         pd.testing.assert_frame_equal(
             ours.astype(theirs.dtypes.to_dict()), theirs, obj=name
         )
+
+
+def _bucketed_vocab(tmp_path, n_buckets=4):
+    """A small vocab dir in the build's layout: vocab-{crc32(term) % B}
+    files, term-sorted, with 3-row row groups so the row-group index and
+    the bucket-file sweeps both have several groups to walk."""
+    import zlib
+
+    import pyarrow.parquet as pq
+
+    vocab = {t: 1 + i for i, t in enumerate(sorted(set(TERMS) - {""}))}
+    vocab_dir = tmp_path / "vocab"
+    vocab_dir.mkdir()
+    for b in range(n_buckets):
+        terms = sorted(t for t in vocab
+                       if zlib.crc32(t.encode("utf-8")) % n_buckets == b)
+        pq.write_table(
+            pa.table({"term": pa.array(terms, type=pa.string()),
+                      "df": pa.array([vocab[t] for t in terms], type=pa.int64())}),
+            vocab_dir / f"vocab-{b:05d}.parquet", row_group_size=3,
+        )
+    return str(vocab_dir), vocab
+
+
+@pytest.mark.parametrize("pattern,literal_prefix", [
+    ("tab.*", ""), ("tab.*", "tab"), ("sc.ns?", "sc"), ("(join|jon)", ""),
+    ("j.*", "j"), ("zzz.*", "zzz"), ("デ.*", "デ"),
+])
+def test_df_regex_sweeps_match_in_memory(tmp_path, pattern, literal_prefix):
+    """The bucket-file sweep of ``df_regex`` — serial and as Ray tasks —
+    equals the in-memory vectorized path, with and without the
+    literal-prefix narrowing; the prefix and point lookups that share the
+    row-group index agree with the in-memory map too."""
+    from oboyu_ray.pipelines.query import VocabLookup
+
+    vocab_dir, vocab = _bucketed_vocab(tmp_path)
+    vl = VocabLookup(vocab_dir)
+    assert vl._map == vocab and vl._bucketed
+    inmem = vl.df_regex(pattern, literal_prefix=literal_prefix)
+    assert inmem == vl.df_regex(pattern)
+    assert inmem == {t: d for t, d in vocab.items()
+                     if t in _arrow_matches(pattern)}
+    pfx = literal_prefix or "t"
+    inmem_pfx = vl.df_prefix(pfx)
+    vl._map = None
+    par = vl.df_regex(pattern, parallel=True, literal_prefix=literal_prefix)
+    ser = vl.df_regex(pattern, parallel=False, literal_prefix=literal_prefix)
+    assert par == inmem and ser == inmem, pattern
+    assert vl.df_prefix(pfx) == inmem_pfx
+    assert vl.df(sorted(vocab) + ["zzzabsent"]) == {**vocab, "zzzabsent": 0}
+    with pytest.raises(ValueError, match="expands"):
+        vl.df_regex(".*", max_terms=2, parallel=False)
