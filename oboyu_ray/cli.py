@@ -97,15 +97,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     req.k, req.hydrate = int(qcfg["k"]), bool(qcfg["hydrate"])
     req.require_all = bool(qcfg["require_all"])
     _ensure_ray(a["num_cpus"])
-    if req.federate:
-        from oboyu_ray.pipelines.federated import FederatedEngine
+    from oboyu_ray.pipelines.federated import FederatedEngine
+    from oboyu_ray.pipelines.query import QueryEngine
 
-        members = [a["index_dir"]] + [d for d in req.federate.split(",") if d]
-        engine = FederatedEngine(members, num_shards_each=qcfg["num_shards"])
-    else:
-        from oboyu_ray.pipelines.query import QueryEngine
-
-        engine = QueryEngine(a["index_dir"], num_shards=qcfg["num_shards"])
+    try:  # a pool the cluster cannot hold or disagreeing members
+        if req.federate:
+            members = [a["index_dir"]] + [d for d in req.federate.split(",") if d]
+            engine = FederatedEngine(members, num_shards_each=qcfg["num_shards"])
+        else:
+            engine = QueryEngine(a["index_dir"], num_shards=qcfg["num_shards"])
+    except ValueError as e:
+        print(f"query: {e}", file=sys.stderr)
+        return 2
     try:
         out = search_modes.run(engine, req)
     finally:

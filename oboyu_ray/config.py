@@ -2,9 +2,9 @@
 
 Defaults mirror the reference's live BM25 indexing configuration
 (``/root/reference/src/oboyu/indexer/algorithm/bm25_indexer.py:32-37`` and
-``config/indexer.py:52-61``): k1=1.2, b=0.75, min_token_length=2,
-min_doc_frequency=1 (stored but unenforced in the reference — kept off here
-for rank-identity).
+``config/indexer.py:52-61``): k1=1.2, b=0.75, min_token_length=2.
+The reference's ``min_doc_frequency`` is stored but never enforced there,
+so it has no field here: pruning by it would break rank-identity.
 
 ``use_stopwords=True`` is a deliberate correction of SURVEY §2-M13:
 although ``BM25Indexer(use_stopwords=False)`` is the constructor default
@@ -35,18 +35,20 @@ single-process in-memory engine):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
 class BM25Config:
+    """Every field changes scores or tokens: two indexes score one corpus
+    together (merge, federation) only when their BM25Configs are equal."""
+
     k1: float = 1.2
     b: float = 0.75
     min_token_length: int = 2
     use_stopwords: bool = True
     language: str = "ja"
-    # enforced only if > 1; reference stores it but never enforces
-    min_doc_frequency: int = 1
     # "default" = reference-conformant selection (MeCab when available,
     # regex fallback otherwise); "ngram" = character-bigram CJK runs
     # (recall for glued Japanese compounds; NOT rank-comparable with the
@@ -81,6 +83,17 @@ class BuildConfig:
     # (QueryEngine.search_phrase).  Costs ~1 varint per token occurrence;
     # default off so the non-phrase build is byte-identical to before.
     store_positions: bool = False
+
+    @classmethod
+    def from_report(cls, config: Dict[str, Any]) -> BuildConfig:
+        """The config an index's ``build_report.json`` records under
+        ``config``.  Missing keys take the defaults; unknown keys (fields
+        since removed) are ignored."""
+        def known(dc, d: Dict[str, Any]) -> Dict[str, Any]:
+            return {f.name: d[f.name] for f in fields(dc) if f.name in d}
+
+        bm25 = BM25Config(**known(BM25Config, config.get("bm25", {})))
+        return cls(**{**known(cls, config), "bm25": bm25})
 
 
 DEFAULT_BUILD_CONFIG = BuildConfig()

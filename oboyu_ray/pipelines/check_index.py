@@ -46,6 +46,8 @@ import pyarrow.parquet as pq
 
 import ray
 
+from oboyu_ray.config import BuildConfig
+
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (public-domain mixing constants)."""
@@ -210,10 +212,9 @@ def check_index(index_dir: str, sample_terms: int = 64) -> Dict:
         checks["metadata"] = {"ok": False, "error": f"{type(e).__name__}: {e}"}
         errors.append(f"metadata: unreadable stats/build_report ({e})")
         return {"ok": False, "checks": checks, "errors": errors}
-    cfg = report.get("config", {})
-    window_docs = int(cfg.get("window_docs", 8192))
-    k1 = float(cfg.get("bm25", {}).get("k1", 1.2))
-    b = float(cfg.get("bm25", {}).get("b", 0.75))
+    cfg = BuildConfig.from_report(report.get("config", {}))
+    window_docs = cfg.window_docs
+    k1, b = float(cfg.bm25.k1), float(cfg.bm25.b)
     avgdl = float(stats["avgdl"]) or 1.0
     parts = [int(p) for p in report["parts"]]
 

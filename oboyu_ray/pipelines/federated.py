@@ -22,6 +22,9 @@ engine); the statistics-merge semantics follow distributed IR practice
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pandas as pd
 
@@ -29,6 +32,7 @@ import ray
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from oboyu_ray.config import BuildConfig
 from oboyu_ray.pipelines.query import QueryEngine
 from oboyu_ray.stages.stats import idf
 
@@ -45,27 +49,21 @@ class FederatedEngine:
             raise ValueError("FederatedEngine needs at least one index")
         # merged stats pass: read every member's stats.json first so all
         # member pools spawn already configured with the merged avgdl
-        import json
-        import os
-
-        raw = []
-        confs = []
+        raw, reports = [], []
         for d in index_dirs:
             with open(os.path.join(d, "stats.json")) as f:
                 raw.append(json.load(f))
             with open(os.path.join(d, "build_report.json")) as f:
-                confs.append(json.load(f).get("config", {}).get("bm25", {}))
-        # all members must agree on scoring + tokenizer parameters — a
-        # federation mixing k1/b or tokenizer modes is a config error.
+                reports.append(json.load(f))
+        # all members must score alike (every BM25Config field) — a
+        # federation mixing k1/b, tokenizers or languages is a config error.
         # Validate from the on-disk reports BEFORE spawning any pool: a
         # failed construction must not leak (or deadlock-pend) actors.
-        keys = ("k1", "b", "tokenizer_mode", "use_stopwords", "min_token_length")
-        sig0 = tuple(confs[0].get(k) for k in keys)
-        for c in confs[1:]:
-            if tuple(c.get(k) for k in keys) != sig0:
-                raise ValueError(
-                    "federated members disagree on k1/b/tokenizer config"
-                )
+        bm25 = [BuildConfig.from_report(r.get("config", {})).bm25 for r in reports]
+        if any(c != bm25[0] for c in bm25[1:]):
+            raise ValueError(
+                "federated members disagree on k1/b/tokenizer/language config"
+            )
         n = sum(int(s["N"]) for s in raw)
         total_dl = sum(int(s["total_dl"]) for s in raw)
         self.stats = {
@@ -79,6 +77,15 @@ class FederatedEngine:
             # deadlock-pend the rest (observed via the CLI path)
             avail = int(ray.available_resources().get("CPU", 4))
             num_shards_each = max(1, avail // max(1, len(index_dirs)))
+        # every pool holds one CPU per shard until the federation closes, so
+        # pools that together need more than the CLUSTER has never all spawn
+        need = sum(min(num_shards_each, len(r["parts"])) for r in reports)
+        total_cpus = int(ray.cluster_resources().get("CPU", 0))
+        if need > total_cpus:
+            raise ValueError(
+                f"{len(index_dirs)} member pools need {need} CPUs but the "
+                f"cluster has {total_cpus}; lower num_shards_each"
+            )
         self.engines: List[QueryEngine] = [
             QueryEngine(
                 d, num_shards=num_shards_each, stats_override=self.stats

@@ -10,17 +10,16 @@ its only path is a full rebuild (``indexing_pipeline.py:334-349``); at
 10^12 turns a rebuild re-tokenizes everything, while this merge never
 touches a token:
 
-* **Posting blocks carry over payload-byte-identical.**  The index is
-  doc-partitioned and block doc-ids are delta-encoded against the block's
-  WINDOW base (``win * window_docs``), so renumbering a member's documents
-  by a constant offset that is a multiple of ``window_docs`` only shifts
-  the ``win`` column — the delta+varint docs/tfs/positions payloads are
-  copied, never decoded-re-encoded.
-* **Block-max metadata is re-baked for the merged avgdl.**  Stored
-  min/max tf-norm bounds depend on the build avgdl; the merge recomputes
-  them exactly (decode tf, gather dl from the member's dense dls table,
-  same float64 expression as a fresh build) so the merged index is a
-  first-class monolith — no query-time rescale factor needed.
+* **Parts are renumbered, then encoded by the build's own blocks
+  phase.**  Each member part's docs, dls and postings tables are copied
+  with ``doc_num += offset``; ``build_index.blocks_phase`` then encodes
+  the renumbered postings at the merged avgdl, as a build's tail.  Every
+  member offset is a multiple of ``window_docs`` and block doc-ids are
+  delta-encoded against the block's WINDOW base, so the docs/tfs/positions
+  payloads come out byte-identical to the member's and only ``win``
+  shifts; the min/max tf-norm bounds are the build's expression at the
+  merged avgdl, so the merged index is a first-class monolith with no
+  query-time rescale factor.
 * **Vocabulary merges as partials.**  Member vocab bucket files ARE
   term partials of the merged vocabulary: each member's become one file
   in the output's ``vocab_partials``, in the build's layout (one row group
@@ -34,7 +33,8 @@ touches a token:
 
 Constraints (validated up front, before any output is written):
 
-* Members must agree on k1/b/tokenizer config, ``window_docs`` and
+* Members must agree on their whole ``BM25Config`` (k1/b, tokenizer,
+  stopwords, min token length, language), ``window_docs`` and
   positional storage — mixing them cannot produce a coherent index.
 * Member conversation-id ranges must be DISJOINT (the same conversation
   in two members has no well-defined merged doc numbering).  Members are
@@ -52,6 +52,8 @@ from __future__ import annotations
 import json
 import os
 import time
+import zlib
+from dataclasses import asdict, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -61,20 +63,19 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from oboyu_ray.config import BuildConfig
+from oboyu_ray.pipelines.build_index import (
+    _vocab_bucket_ids,
+    _write_partials_file,
+    blocks_phase,
+    vocabulary_phase,
+)
 from oboyu_ray.state.checkpoint import (
     Manifest,
     atomic_write_json,
     atomic_write_table,
     file_sig,
     files_sig,
-)
-from oboyu_ray.state.codec import varint_decode
-
-# config keys that must agree across members for the merged index to be
-# coherent (same set the federated engine validates, plus the physical
-# layout knobs the merge relies on)
-_CONFIG_KEYS_BM25 = (
-    "k1", "b", "tokenizer_mode", "use_stopwords", "min_token_length", "language",
 )
 
 
@@ -83,7 +84,8 @@ def _member_meta(d: str) -> Dict:
         stats = json.load(f)
     with open(os.path.join(d, "build_report.json")) as f:
         report = json.load(f)
-    return {"dir": d, "stats": stats, "report": report}
+    cfg = BuildConfig.from_report(report.get("config", {}))
+    return {"dir": d, "stats": stats, "report": report, "cfg": cfg}
 
 
 def _conv_range(d: str) -> Tuple[Optional[str], Optional[str]]:
@@ -113,168 +115,60 @@ def _conv_range(d: str) -> Tuple[Optional[str], Optional[str]]:
 
 
 def _validate_members(metas: List[Dict]) -> None:
-    c0 = metas[0]["report"].get("config", {})
-    sig0 = tuple(c0.get("bm25", {}).get(k) for k in _CONFIG_KEYS_BM25)
-    lay0 = (c0.get("window_docs"), bool(c0.get("store_positions")))
+    """Members must score alike (every BM25Config field) and share the
+    block layout the renumbering keeps."""
+    c0 = metas[0]["cfg"]
     for m in metas[1:]:
-        c = m["report"].get("config", {})
-        if tuple(c.get("bm25", {}).get(k) for k in _CONFIG_KEYS_BM25) != sig0:
+        c = m["cfg"]
+        if c.bm25 != c0.bm25:
             raise ValueError(
                 f"merge members disagree on bm25/tokenizer config: "
                 f"{metas[0]['dir']} vs {m['dir']}"
             )
-        if (c.get("window_docs"), bool(c.get("store_positions"))) != lay0:
+        if (c.window_docs, c.store_positions) != (c0.window_docs, c0.store_positions):
             raise ValueError(
                 f"merge members disagree on window_docs/store_positions: "
                 f"{metas[0]['dir']} vs {m['dir']}"
             )
 
 
-def _merge_one_part(
-    spec: Dict, merged_avgdl: float, k1: float, b: float, window_docs: int,
-    out_dir: str,
-) -> pa.Table:
-    """Copy one member part into the output under its new part id and doc
-    offset.  Blocks: win shifts by off//W, docs/tfs/pos payloads carry over
-    byte-identical, min/max tf-norm re-baked for the merged avgdl.  dls and
-    docs: doc_num += off."""
-    member_dir = spec["member_dir"]
+def _shift_doc_num(src: str, dst: str, off: int) -> np.ndarray:
+    """Copy one part table with ``doc_num += off``; returns the new numbers."""
+    t = pq.read_table(src)
+    doc = t.column("doc_num").to_numpy().astype(np.int64) + off
+    i = t.schema.get_field_index("doc_num")
+    atomic_write_table(dst, t.set_column(i, "doc_num", pa.array(doc, type=pa.int64())))
+    return doc
+
+
+def _merge_one_part(spec: Dict, out_dir: str) -> pa.Table:
+    """Renumber one member part into the output under its new part id:
+    ``doc_num += offset`` in its dls, docs and postings tables.  The
+    build's blocks phase then encodes the renumbered postings."""
     src = int(spec["src_part_id"])
     dst = int(spec["dst_part_id"])
     off = int(spec["doc_offset"])
-    W = window_docs
-
-    src_blocks = os.path.join(member_dir, "blocks", f"blocks-{src:05d}.parquet")
-    src_dls = os.path.join(member_dir, "dls", f"dls-{src:05d}.parquet")
-    src_docs = os.path.join(member_dir, "docs", f"docs-{src:05d}.parquet")
-    src_post = os.path.join(member_dir, "postings", f"postings-{src:05d}.parquet")
-    out_blocks = os.path.join(out_dir, "blocks", f"blocks-{dst:05d}.parquet")
-    out_dls = os.path.join(out_dir, "dls", f"dls-{dst:05d}.parquet")
-    out_docs = os.path.join(out_dir, "docs", f"docs-{dst:05d}.parquet")
-    out_post = os.path.join(out_dir, "postings", f"postings-{dst:05d}.parquet")
-
+    paths = [
+        (os.path.join(spec["member_dir"], sub, f"{sub}-{src:05d}.parquet"),
+         os.path.join(out_dir, sub, f"{sub}-{dst:05d}.parquet"))
+        for sub in ("dls", "docs", "postings")
+    ]
     man = Manifest(out_dir, "merge_parts")
-    lineage = {
-        "blocks": {src_blocks: file_sig(src_blocks)},
-        "dls": {src_dls: file_sig(src_dls)},
-        "docs": {src_docs: file_sig(src_docs)},
-        "postings": {src_post: file_sig(src_post)},
-        "doc_offset": off,
-        "avgdl": merged_avgdl,
-        "k1": k1,
-        "b": b,
-        "window_docs": W,
-    }
+    lineage = {"src": {s: file_sig(s) for s, _ in paths}, "doc_offset": off}
     if man.is_done(dst, lineage):
         m = man.get(dst)["metrics"]
         return pa.table({k: [v] for k, v in m.items()})
 
     t0 = time.time()
-    # ---- dls: shift doc_num, keep dl; also the per-posting dl source below
-    dt = pq.read_table(src_dls)
-    doc_nums_local = dt.column("doc_num").to_numpy().astype(np.int64)
-    dls_local = dt.column("dl").to_numpy().astype(np.float64)
-    out_dls_t = dt.set_column(
-        dt.schema.get_field_index("doc_num"),
-        "doc_num",
-        pa.array(doc_nums_local + off, type=pa.int64()),
-    )
-    atomic_write_table(out_dls, out_dls_t)
-
-    # ---- docs: shift doc_num (hydration point lookups key on it)
-    dtab = pq.read_table(src_docs)
-    out_docs_t = dtab.set_column(
-        dtab.schema.get_field_index("doc_num"),
-        "doc_num",
-        pa.array(dtab.column("doc_num").to_numpy().astype(np.int64) + off,
-                 type=pa.int64()),
-    )
-    atomic_write_table(out_docs, out_docs_t)
-
-    # ---- raw postings: shift doc_num (the checker's blocks≡postings deep
-    # verify and any postings-reading pipeline need the merged index to be
-    # a FULL build artifact, not blocks-only)
-    pt = pq.read_table(src_post)
-    out_post_t = pt.set_column(
-        pt.schema.get_field_index("doc_num"),
-        "doc_num",
-        pa.array(pt.column("doc_num").to_numpy().astype(np.int64) + off,
-                 type=pa.int64()),
-    )
-    atomic_write_table(out_post, out_post_t)
-
-    # ---- blocks: shift win; re-bake tf-norm bounds at the merged avgdl
-    bt = pq.read_table(src_blocks)
-    n_rows = bt.num_rows
-    if n_rows == 0:
-        atomic_write_table(out_blocks, bt)
-        metrics = {
-            "part_id": dst, "n_blocks": 0, "n_postings": 0,
-            "n_docs": int(len(doc_nums_local)),
-            "doc_min": int(doc_nums_local.min() + off) if len(doc_nums_local) else off,
-            "doc_max": int(doc_nums_local.max() + off) if len(doc_nums_local) else off - 1,
-            "merge_sec": round(time.time() - t0, 3),
-        }
-        man.commit(dst, [out_blocks, out_dls, out_docs, out_post], lineage, metrics)
-        return pa.table({k: [v] for k, v in metrics.items()})
-
-    win = bt.column("win").to_numpy().astype(np.int64)
-    counts = bt.column("n").to_numpy().astype(np.int64)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-
-    # decode every posting's (local doc, tf) in one vectorized pass — the
-    # same grouped-delta reconstruction _PartIndex.decode_range does
-    from oboyu_ray.state.shards import _PartIndex
-
-    _, docs_off, docs_buf = _PartIndex._binary_views(bt.column("docs"))
-    _, tfs_off, tfs_buf = _PartIndex._binary_views(bt.column("tfs"))
-    gaps = varint_decode(docs_buf[docs_off[0]: docs_off[-1]]).astype(np.int64)
-    tot = np.cumsum(gaps)
-    shift = np.zeros(len(counts), dtype=np.int64)
-    if len(counts) > 1:
-        shift[1:] = tot[starts[1:] - 1]
-    within = tot - np.repeat(shift, counts)
-    docs_local = within + np.repeat(win * W, counts)
-    tf = varint_decode(tfs_buf[tfs_off[0]: tfs_off[-1]]).astype(np.float64)
-
-    dl_base = int(doc_nums_local.min()) if len(doc_nums_local) else 0
-    dl_arr = np.zeros(
-        (int(doc_nums_local.max()) - dl_base + 1) if len(doc_nums_local) else 0,
-        dtype=np.float64,
-    )
-    if len(doc_nums_local):
-        dl_arr[doc_nums_local - dl_base] = dls_local
-    dl = dl_arr[docs_local - dl_base]
-
-    tfnorm = (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / merged_avgdl)))
-    max_tfnorm = np.maximum.reduceat(tfnorm, starts)
-    min_tfnorm = np.minimum.reduceat(tfnorm, starts)
-
-    out_t = bt.set_column(
-        bt.schema.get_field_index("win"), "win",
-        pa.array(win + off // W, type=pa.int64()),
-    )
-    out_t = out_t.set_column(
-        out_t.schema.get_field_index("max_tfnorm"), "max_tfnorm",
-        pa.array(max_tfnorm, type=pa.float64()),
-    )
-    out_t = out_t.set_column(
-        out_t.schema.get_field_index("min_tfnorm"), "min_tfnorm",
-        pa.array(min_tfnorm, type=pa.float64()),
-    )
-    atomic_write_table(out_blocks, out_t)
-
+    doc = [_shift_doc_num(s, d, off) for s, d in paths][0]  # dls: a row per doc
     metrics = {
         "part_id": dst,
-        "n_blocks": int(n_rows),
-        "n_postings": int(counts.sum()),
-        "n_docs": int(len(doc_nums_local)),
-        "doc_min": int(doc_nums_local.min() + off) if len(doc_nums_local) else off,
-        "doc_max": int(doc_nums_local.max() + off) if len(doc_nums_local) else off - 1,
+        "n_docs": len(doc),
+        "doc_min": int(doc.min()) if len(doc) else off,
+        "doc_max": int(doc.max()) if len(doc) else off - 1,
         "merge_sec": round(time.time() - t0, 3),
     }
-    man.commit(dst, [out_blocks, out_dls, out_docs, out_post], lineage, metrics)
+    man.commit(dst, [d for _, d in paths], lineage, metrics)
     return pa.table({k: [v] for k, v in metrics.items()})
 
 
@@ -285,8 +179,6 @@ def _rebucket_vocab_partials(
     ``vocab_partials/m{member}.parquet`` in the build's layout (one row
     group per bucket), with crc32 buckets for the output's bucket count —
     the member's own count may differ."""
-    from oboyu_ray.pipelines.build_index import _vocab_bucket_ids, _write_partials_file
-
     srcs = list(spec["src_files"])
     man = Manifest(out_dir, "merge_vocab_partials")
     key = f"m{int(spec['member_idx']):03d}"
@@ -380,8 +272,10 @@ def _gc_stale_merge_parts(out_dir: str, n_parts: int) -> None:
             m = _re.match(pat, f)
             if m and int(m.group(1)) >= n_parts:
                 os.remove(os.path.join(d, f))
-    mdir = os.path.join(out_dir, "manifests", "merge_parts")
-    if os.path.isdir(mdir):
+    for phase in ("merge_parts", "blocks"):
+        mdir = os.path.join(out_dir, "manifests", phase)
+        if not os.path.isdir(mdir):
+            continue
         for f in os.listdir(mdir):
             m = _re.match(r"part-(\d+)\.json$", f)
             if m and int(m.group(1)) >= n_parts:
@@ -440,14 +334,16 @@ def merge_indexes(
                     "re-merged from its original members)"
                 )
 
-    cfg0 = metas[0]["report"]["config"]
-    W = int(cfg0.get("window_docs", 8192))
-    k1 = float(cfg0["bm25"]["k1"])
-    b = float(cfg0["bm25"]["b"])
+    # the merged index is built with the first member's config (they agree
+    # on everything the renumbered parts depend on) and the output's buckets
+    if vocab_buckets is None:
+        vocab_buckets = max(m["cfg"].vocab_buckets for m in metas)
+    merged_cfg = replace(metas[0]["cfg"], vocab_buckets=int(vocab_buckets))
+    W = merged_cfg.window_docs
 
-    # per-member doc offsets, each a multiple of window_docs so block
-    # payloads carry over unchanged (gaps in doc-number space are harmless:
-    # postings only ever name real documents)
+    # per-member doc offsets, each a multiple of window_docs so every
+    # window-relative block payload encodes the same (gaps in doc-number
+    # space are harmless: postings only ever name real documents)
     offsets: List[int] = []
     base = 0
     for m in metas:
@@ -460,7 +356,6 @@ def merge_indexes(
 
     n_docs = sum(int(m["stats"]["N"]) for m in metas)
     total_dl = sum(int(m["stats"]["total_dl"]) for m in metas)
-    merged_avgdl = (total_dl / n_docs) if n_docs else 0.0
 
     for name in ("docs", "dls", "postings", "blocks", "conv_map", "vocab", "vocab_partials"):
         os.makedirs(os.path.join(out_dir, name), exist_ok=True)
@@ -480,7 +375,7 @@ def merge_indexes(
 
     def run_part(batch: pa.Table) -> Iterator[pa.Table]:
         for row in batch.to_pylist():
-            yield _merge_one_part(row, merged_avgdl, k1, b, W, out_dir)
+            yield _merge_one_part(row, out_dir)
 
     part_rows = (
         ray.data.from_items(specs)
@@ -488,14 +383,10 @@ def merge_indexes(
         .take_all()
     )
     part_rows.sort(key=lambda r: int(r["part_id"]))
+    part_ids = [int(r["part_id"]) for r in part_rows]
     t_parts = time.time()
 
     # ---- vocabulary: member buckets as partials → per-bucket reduce
-    member_buckets = [
-        int(m["report"]["config"].get("vocab_buckets", 32)) for m in metas
-    ]
-    if vocab_buckets is None:
-        vocab_buckets = max(member_buckets)
     # GC partials not derivable from THIS member set: the reduce reads the
     # whole partials directory, so a stale partial (a removed member, the
     # per-bucket layout, a plain build's) would silently pollute the merged
@@ -519,41 +410,25 @@ def merge_indexes(
 
     def run_vocab(batch: pa.Table) -> Iterator[pa.Table]:
         for row in batch.to_pylist():
-            yield _rebucket_vocab_partials(row, int(vocab_buckets), out_dir)
+            yield _rebucket_vocab_partials(row, merged_cfg.vocab_buckets, out_dir)
 
     (
         ray.data.from_items(vspecs)
         .map_batches(run_vocab, batch_format="pyarrow", batch_size=1)
         .take_all()
     )
-
-    from oboyu_ray.config import BuildConfig, BM25Config
-    from oboyu_ray.pipelines.build_index import vocabulary_phase
-
-    bm = cfg0["bm25"]
-    merged_cfg = BuildConfig(
-        bm25=BM25Config(
-            k1=k1, b=b,
-            min_token_length=int(bm.get("min_token_length", 2)),
-            use_stopwords=bool(bm.get("use_stopwords", True)),
-            language=str(bm.get("language", "ja")),
-            min_doc_frequency=int(bm.get("min_doc_frequency", 1)),
-            tokenizer_mode=str(bm.get("tokenizer_mode", "default")),
-        ),
-        window_docs=W,
-        vocab_buckets=int(vocab_buckets),
-        store_positions=bool(cfg0.get("store_positions", False)),
-    )
     stats = vocabulary_phase(out_dir, merged_cfg, n_docs, total_dl)
     t_vocab = time.time()
+
+    # ---- blocks: the build's encoder over the renumbered postings
+    block_rows = blocks_phase(part_ids, out_dir, merged_cfg, float(stats["avgdl"]))
+    t_blocks = time.time()
 
     # ---- conv map
     _merge_conv_map(metas, offsets, out_dir)
     crc_src = ";".join(
         f"{m['dir']}:{offsets[i]}" for i, m in enumerate(metas)
     )
-    import zlib
-
     atomic_write_json(
         os.path.join(out_dir, "conv_map", "_DONE.json"),
         {
@@ -583,16 +458,12 @@ def merge_indexes(
         build_fuzzy_sidecar(out_dir, max_edits=max_edits)
     t_sidecar = time.time()
 
-    from dataclasses import asdict
-
     report = {
         "n_docs": n_docs,
         "n_parts": len(specs),
         "n_terms": stats["n_terms"],
-        "total_postings": int(sum(int(r["n_postings"]) for r in part_rows)),
-        "payload_bytes": sum(
-            int(m["report"].get("payload_bytes", 0)) for m in metas
-        ),
+        "total_postings": int(sum(r["n_postings"] for r in block_rows)),
+        "payload_bytes": int(sum(r["payload_bytes"] for r in block_rows)),
         "stats": stats,
         "config": asdict(merged_cfg),
         "merged_from": [
@@ -603,11 +474,12 @@ def merge_indexes(
         "timings_sec": {
             "parts": round(t_parts - t0, 3),
             "vocabulary": round(t_vocab - t_parts, 3),
-            "conv_map": round(t_conv - t_vocab, 3),
+            "blocks": round(t_blocks - t_vocab, 3),
+            "conv_map": round(t_conv - t_blocks, 3),
             "sidecar": round(t_sidecar - t_conv, 3),
             "total": round(t_sidecar - t0, 3),
         },
-        "parts": [int(r["part_id"]) for r in part_rows],
+        "parts": part_ids,
         "part_summaries": [
             {
                 "part_id": int(r["part_id"]),

@@ -27,7 +27,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from oboyu_ray.config import BM25Config
+from oboyu_ray.config import BM25Config, BuildConfig
 from oboyu_ray.stages.postings import get_tokenizer
 from oboyu_ray.stages.stats import idf
 from oboyu_ray.state.shards import IndexShard, _merge_topk_multi
@@ -514,34 +514,20 @@ class QueryEngine:
             self.report = json.load(f)
         # query-time tokenization must match the INDEX's tokenizer settings
         # (the reference builds its query tokenizer identically to its index
-        # tokenizer, service_registry.py:75-80): reconstruct the full BM25
-        # config from the build report unless the caller overrides it
-        bc = self.report.get("config", {}).get("bm25", {})
-        if cfg is None:
-            defaults = BM25Config()
-            cfg = BM25Config(
-                k1=float(bc.get("k1", defaults.k1)),
-                b=float(bc.get("b", defaults.b)),
-                min_token_length=int(bc.get("min_token_length", defaults.min_token_length)),
-                use_stopwords=bool(bc.get("use_stopwords", defaults.use_stopwords)),
-                language=str(bc.get("language", defaults.language)),
-                tokenizer_mode=str(bc.get("tokenizer_mode", defaults.tokenizer_mode)),
-            )
-        else:
+        # tokenizer, service_registry.py:75-80): the build report's config
+        # unless the caller overrides it
+        built = BuildConfig.from_report(self.report.get("config", {}))
+        self.k1, self.b = float(built.bm25.k1), float(built.bm25.b)
+        if cfg is not None and (cfg.k1, cfg.b) != (self.k1, self.b):
             # k1/b are baked into the stored block-max bounds; querying with
             # different values would make pruning unsound — reject loudly
-            built_k1 = float(bc.get("k1", cfg.k1))
-            built_b = float(bc.get("b", cfg.b))
-            if (cfg.k1, cfg.b) != (built_k1, built_b):
-                raise ValueError(
-                    f"index was built with k1={built_k1}, b={built_b}; "
-                    f"override ({cfg.k1}, {cfg.b}) would invalidate the stored "
-                    "block-max bounds — rebuild the index with the new values"
-                )
-        self.cfg = cfg
-        self.k1 = float(bc.get("k1", self.cfg.k1))
-        self.b = float(bc.get("b", self.cfg.b))
-        self.window_docs = int(self.report.get("config", {}).get("window_docs", 8192))
+            raise ValueError(
+                f"index was built with k1={self.k1}, b={self.b}; "
+                f"override ({cfg.k1}, {cfg.b}) would invalidate the stored "
+                "block-max bounds — rebuild the index with the new values"
+            )
+        self.cfg = cfg or built.bm25
+        self.window_docs = built.window_docs
         self.vocab = VocabLookup(os.path.join(index_dir, "vocab"))
         self.resolver = ConvResolver(index_dir, conv_inmem_limit=self._conv_inmem_limit)
         self.tokenizer = get_tokenizer(self.cfg)

@@ -157,6 +157,19 @@ def read_cli_files(req: Request) -> None:
                 raise ValueError(
                     f"{m.cli} {path}: {getattr(e, 'strerror', None) or e}"
                 ) from None
+            _check_value(req, m)
+
+
+def _check_value(req: Request, mode: Mode) -> None:
+    """Run the mode's own value mapping, so an ill-typed value is refused
+    before any engine starts, naming the flag or key."""
+    value = req.modes[mode.name]
+    try:
+        mode.call(req.q, value)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(
+            f"{_names(req)[mode.name]} got an invalid value {value!r}: {e}"
+        ) from None
 
 
 def _names(req: Request) -> Dict[str, Optional[str]]:
@@ -195,7 +208,7 @@ def validate(req: Request) -> None:
     """Raise ValueError for a request the surfaces refuse, naming each flag
     as the caller spells it.  Checks run in order: query text, page,
     collapse, one mode, modifiers the mode would drop, federation, count,
-    then the form of the scope and of the query."""
+    then the form of the scope, of the query and of the mode's value."""
     n = _names(req)
     on = [m for m in MODES if m.name in req.modes]
     mode = on[0] if on else PLAIN
@@ -233,6 +246,8 @@ def validate(req: Request) -> None:
         raise ValueError(
             f"{n[mode.name]} takes exactly {mode.terms} terms in {n['q']}"
         )
+    if on and not (mode.cli_file and req.surface == "cli"):
+        _check_value(req, mode)  # a CLI file is checked once it is read
 
 
 def run(engine, req: Request):

@@ -150,3 +150,27 @@ def test_fuzzy_and_index_dir_sections_resolve(tmp_path):
     assert f == {"max_edits": 2, "buckets": 32}
     d = cm.merge_cli_overrides("index_dir", {"chunk_size": None})
     assert d["chunk_size"] == 2048 and d["chunk_overlap"] == 256
+
+
+def test_removed_min_doc_frequency_is_refused(tmp_path):
+    """The field was never enforced; a file that sets it is refused rather
+    than silently ignored."""
+    p = tmp_path / "oboyu.yaml"
+    p.write_text("bm25:\n  min_doc_frequency: 2\n")
+    with pytest.raises(ValueError, match="min_doc_frequency"):
+        ConfigManager(p).load_config()
+
+
+def test_from_report_reads_old_and_partial_reports():
+    # an old report still carries min_doc_frequency: ignored
+    old = {"bm25": {"k1": 1.5, "b": 0.5, "min_doc_frequency": 1,
+                    "language": "en"},
+           "window_docs": 256, "store_positions": True}
+    cfg = BuildConfig.from_report(old)
+    assert cfg == BuildConfig(
+        bm25=BM25Config(k1=1.5, b=0.5, language="en"),
+        window_docs=256, store_positions=True,
+    )
+    # missing keys take the dataclass defaults
+    assert BuildConfig.from_report({}) == BuildConfig()
+    assert BuildConfig.from_report({"bm25": {"b": 0.4}}).bm25 == BM25Config(b=0.4)

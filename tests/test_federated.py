@@ -173,3 +173,62 @@ def test_federated_config_mismatch_raises(setup, tmp_path):
         FederatedEngine(
             [str(base / "idx_a"), str(tmp_path / "idx_c")], num_shards_each=1
         )
+
+
+def _no_pool(*args, **kw):
+    raise AssertionError("a member pool was spawned")
+
+
+def test_federated_language_mismatch_raises_before_any_pool(setup, tmp_path, monkeypatch):
+    """Members that differ only in language are refused from their build
+    reports: the stand-in member has no index data at all."""
+    import oboyu_ray.pipelines.federated as fed_mod
+
+    base = setup["base"]
+    other = tmp_path / "idx_en"
+    other.mkdir()
+    rep = json.load(open(os.path.join(base, "idx_a", "build_report.json")))
+    assert rep["config"]["bm25"]["language"] == "ja"
+    rep["config"]["bm25"]["language"] = "en"
+    json.dump(rep, open(other / "build_report.json", "w"))
+    json.dump(json.load(open(os.path.join(base, "idx_a", "stats.json"))),
+              open(other / "stats.json", "w"))
+    monkeypatch.setattr(fed_mod, "QueryEngine", _no_pool)
+    with pytest.raises(ValueError, match="disagree"):
+        FederatedEngine([str(base / "idx_a"), str(other)], num_shards_each=1)
+
+
+def test_federated_pools_wider_than_cluster_raise_before_any_pool(setup, monkeypatch):
+    """Each member's pool fits the cluster on its own (3 shards), but
+    together they need more CPUs than it has: refused up front instead of
+    the last pool waiting forever for a CPU."""
+    import ray
+
+    import oboyu_ray.pipelines.federated as fed_mod
+
+    total = int(ray.cluster_resources()["CPU"])
+    assert total >= 3
+    idx_all = str(setup["base"] / "idx_all")
+    assert len(json.load(open(os.path.join(idx_all, "build_report.json")))["parts"]) >= 3
+    monkeypatch.setattr(fed_mod, "QueryEngine", _no_pool)
+    with pytest.raises(ValueError, match="need .* CPUs but the cluster has"):
+        FederatedEngine([idx_all] * (total // 3 + 1), num_shards_each=3)
+
+
+def test_cli_federate_wider_than_cluster_exits_2(setup, monkeypatch, capsys):
+    import argparse
+
+    import ray
+
+    import oboyu_ray.pipelines.federated as fed_mod
+    from oboyu_ray.cli import cmd_query
+
+    total = int(ray.cluster_resources()["CPU"])
+    idx_all = str(setup["base"] / "idx_all")
+    monkeypatch.setattr(fed_mod, "QueryEngine", _no_pool)
+    rc = cmd_query(argparse.Namespace(
+        index_dir=idx_all, q="token", num_shards=3,
+        federate=",".join([idx_all] * (total // 3)),
+    ))
+    assert rc == 2
+    assert "CPUs but the cluster has" in capsys.readouterr().err

@@ -276,3 +276,43 @@ def test_merge_validation_raises(setup):
             open(os.path.join(fake, "stats.json"), "w"),
         )
         merge_indexes([str(base / "idx_a"), fake], str(base / "idx_bad2"))
+
+
+def _part_sources(setup):
+    """(merged part id, member dir, member part id, doc offset), in the
+    merge's own numbering: members in merged order, parts in member order."""
+    out, dst = [], 0
+    for m in setup["report1"]["merged_from"]:
+        rep = json.load(open(os.path.join(m["dir"], "build_report.json")))
+        for p in rep["parts"]:
+            out.append((dst, m["dir"], int(p), int(m["doc_offset"])))
+            dst += 1
+    return out
+
+
+def test_merged_block_payloads_are_the_members_bytes(setup):
+    """Offsets are window multiples, so the build's encoder over renumbered
+    postings writes every member payload unchanged and only shifts win."""
+    W = setup["report1"]["config"]["window_docs"]
+    out_dir = os.path.join(setup["base"], "idx_m")
+    sources = _part_sources(setup)
+    assert len(sources) == setup["report1"]["n_parts"]
+    for dst, member, src, off in sources:
+        assert off % W == 0
+        got = pq.read_table(os.path.join(out_dir, "blocks", f"blocks-{dst:05d}.parquet"))
+        ref = pq.read_table(os.path.join(member, "blocks", f"blocks-{src:05d}.parquet"))
+        assert got.num_rows == ref.num_rows > 0
+        for col in ("term", "n", "docs", "tfs", "pos"):
+            assert got.column(col).equals(ref.column(col)), (dst, col)
+        np.testing.assert_array_equal(
+            got.column("win").to_numpy(), ref.column("win").to_numpy() + off // W
+        )
+
+
+def test_merged_payload_bytes_sum_over_members(setup):
+    members = [
+        json.load(open(os.path.join(m["dir"], "build_report.json")))
+        for m in setup["report1"]["merged_from"]
+    ]
+    assert setup["report1"]["payload_bytes"] == sum(r["payload_bytes"] for r in members)
+    assert setup["report1"]["total_postings"] == sum(r["total_postings"] for r in members)

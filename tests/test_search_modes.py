@@ -144,3 +144,34 @@ def test_cli_closes_engine_when_search_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="shard died"):
         cmd_query(argparse.Namespace(index_dir="/nonexistent", q="a b"))
     assert closed == [True]
+
+
+@pytest.mark.parametrize("kw,key", [
+    ({"dismax": "x"}, "dismax"),
+    ({"boosts": [1, 2]}, "boosts"),
+    ({"fuzzy": "one"}, "fuzzy"),
+])
+def test_mcp_refuses_ill_typed_mode_values_before_any_engine(kw, key):
+    server = McpServer()
+    with pytest.raises(ValueError, match=f"^{key} got an invalid value"):
+        server.tool_search("a b", "/nonexistent", **kw)
+    assert not server._engines
+
+
+def test_cli_refuses_ill_typed_more_like_before_any_engine(capsys):
+    ns = build_parser().parse_args(
+        ["query", "--index-dir", "/nonexistent", "--more-like", "abc"])
+    assert cmd_query(ns) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("query: --more-like got an invalid value 'abc'"), err
+
+
+def test_cli_refuses_non_numeric_boost_weight_in_file(tmp_path, capsys):
+    path = tmp_path / "boosts.json"
+    path.write_text('{"a": "heavy"}')
+    ns = build_parser().parse_args(
+        ["query", "--index-dir", "/nonexistent", "--q", "a b",
+         "--boosts", str(path)])
+    assert cmd_query(ns) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("query: --boosts got an invalid value"), err
