@@ -66,6 +66,7 @@ from dataclasses import asdict
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -730,104 +731,61 @@ def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Tab
     doc_nums = docs.column("doc_num").to_numpy()
     texts = docs.column("text").to_pylist()
 
-    terms: List[str] = []
-    tfs: List[int] = []
-    row_doc: List[int] = []
-    row_dl: List[int] = []
+    # ONE flat token stream for the whole partition, pandas factorize (C) to
+    # int codes, one lexsort groups (doc, term) runs — no per-token or
+    # per-doc Python dict work.  Every tokenizer's get_term_frequencies is
+    # Counter(tokenize), so tf = run length is conformant by construction.
     dls = np.zeros(len(texts), dtype=np.int64)
+    all_toks: List[str] = []
+    for i, text in enumerate(texts):
+        toks = tok.tokenize(text or "")
+        dls[i] = len(toks)
+        all_toks.extend(toks)
+    total = int(dls.sum())
+    codes, uniques = pd.factorize(np.asarray(all_toks, dtype=object))
+    doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), dls)
+    # lexsort is stable and tokens arrive in position order, so positions
+    # stay ascending inside each (doc, term) run without a third key
+    order = np.lexsort((codes, doc_of))
+    d_s, c_s = doc_of[order], codes[order]
+    new = np.ones(total, dtype=bool)
+    new[1:] = (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])
+    run_starts = np.flatnonzero(new)
+    run_counts = np.diff(np.r_[run_starts, total])
+    cols = {
+        "term": pa.array(uniques.take(c_s[run_starts]), type=pa.string()),
+        "doc_num": pa.array(doc_nums[d_s[run_starts]].astype(np.int64), type=pa.int64()),
+        "tf": pa.array(run_counts, type=pa.int64()),
+        "dl": pa.array(dls[d_s[run_starts]], type=pa.int64()),
+    }
     if cfg.store_positions:
         # positions = indices in the FILTERED token stream (reference
-        # bm25_indexer._get_term_positions semantics); every tokenizer's
-        # get_term_frequencies is Counter(tokenize), so deriving tf from the
-        # same walk is conformant by construction.  Vectorized: ONE flat
-        # token stream for the whole partition, pandas factorize (C) to
-        # int codes, one lexsort groups (doc, term) runs with positions
-        # ascending inside each run — no per-token Python dict work (the
-        # first cut's setdefault/append loop built at 70k turns/s vs the
-        # position-free 255k; this path removes that gap)
-        import pandas as pd
+        # bm25_indexer._get_term_positions semantics), stored PRE-ENCODED
+        # (delta+varint per posting, a binary cell per row): the blocks
+        # phase then only memcpy-slices contiguous cells per (term, window)
+        # group — no list-column parquet round trip, no re-encode (the
+        # list<int32> format cost ~1.3 s/part across read+flatten+delta+
+        # varint in blocks)
+        from oboyu_ray.state.codec import (
+            grouped_delta_encode as _gde,
+            varint_byte_lengths as _vbl,
+            varint_encode as _venc,
+        )
 
-        all_toks: List[str] = []
-        lens = np.zeros(len(texts), dtype=np.int64)
-        for i, text in enumerate(texts):
-            toks = tok.tokenize(text or "")
-            lens[i] = len(toks)
-            all_toks.extend(toks)
-        dls = lens
-        total = int(lens.sum())
-        if total:
-            codes, uniques = pd.factorize(np.asarray(all_toks, dtype=object))
-            doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
-            doc_starts = np.zeros(len(texts), dtype=np.int64)
-            np.cumsum(lens[:-1], out=doc_starts[1:])
-            pos_in_doc = np.arange(total, dtype=np.int64) - np.repeat(doc_starts, lens)
-            order = np.lexsort((pos_in_doc, codes, doc_of))
-            d_s, c_s, p_s = doc_of[order], codes[order], pos_in_doc[order]
-            new = np.empty(total, dtype=bool)
-            new[0] = True
-            new[1:] = (d_s[1:] != d_s[:-1]) | (c_s[1:] != c_s[:-1])
-            run_starts = np.flatnonzero(new)
-            run_counts = np.diff(np.r_[run_starts, total])
-            # positions are stored PRE-ENCODED (delta+varint per posting, a
-            # binary cell per row): the blocks phase then only memcpy-slices
-            # contiguous cells per (term, window) group — no list-column
-            # parquet round trip, no re-encode (the list<int32> format cost
-            # ~1.3 s/part across read+flatten+delta+varint in blocks)
-            from oboyu_ray.state.codec import (
-                grouped_delta_encode as _gde,
-                varint_byte_lengths as _vbl,
-                varint_encode as _venc,
-            )
-
-            gaps = _gde(p_s, run_starts, np.zeros(len(run_starts), dtype=np.int64))
-            payload = np.frombuffer(_venc(gaps), dtype=np.uint8)
-            byte_ends = np.cumsum(_vbl(gaps))
-            pos_cum = np.cumsum(run_counts)  # per posting: end index in p_s
-            cell_off = np.zeros(len(run_starts) + 1, dtype=np.int64)
-            cell_off[1:] = byte_ends[pos_cum - 1]
-            pos_col = pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(), len(run_starts),
-                [None, pa.py_buffer(cell_off), pa.py_buffer(payload)],
-            )
-            postings = pa.table(
-                {
-                    "term": pa.array(uniques.take(c_s[run_starts]), type=pa.string()),
-                    "doc_num": pa.array(
-                        doc_nums[d_s[run_starts]].astype(np.int64), type=pa.int64()
-                    ),
-                    "tf": pa.array(run_counts, type=pa.int64()),
-                    "dl": pa.array(lens[d_s[run_starts]], type=pa.int64()),
-                    "pos": pos_col,
-                }
-            ).sort_by([("term", "ascending"), ("doc_num", "ascending")])
-        else:
-            postings = pa.table(
-                {
-                    "term": pa.array([], type=pa.string()),
-                    "doc_num": pa.array([], type=pa.int64()),
-                    "tf": pa.array([], type=pa.int64()),
-                    "dl": pa.array([], type=pa.int64()),
-                    "pos": pa.array([], type=pa.large_binary()),
-                }
-            )
-    else:
-        for i, text in enumerate(texts):
-            freqs = tok.get_term_frequencies(text or "")
-            if freqs:
-                dl = sum(freqs.values())
-                dls[i] = dl
-                terms.extend(freqs.keys())
-                tfs.extend(freqs.values())
-                row_doc.extend([int(doc_nums[i])] * len(freqs))
-                row_dl.extend([dl] * len(freqs))
-        postings = pa.table(
-            {
-                "term": pa.array(terms, type=pa.string()),
-                "doc_num": pa.array(row_doc, type=pa.int64()),
-                "tf": pa.array(tfs, type=pa.int64()),
-                "dl": pa.array(row_dl, type=pa.int64()),
-            }
-        ).sort_by([("term", "ascending"), ("doc_num", "ascending")])
+        doc_starts = np.zeros(len(texts), dtype=np.int64)
+        np.cumsum(dls[:-1], out=doc_starts[1:])
+        p_s = (np.arange(total, dtype=np.int64) - np.repeat(doc_starts, dls))[order]
+        gaps = _gde(p_s, run_starts, np.zeros(len(run_starts), dtype=np.int64))
+        payload = np.frombuffer(_venc(gaps), dtype=np.uint8)
+        byte_ends = np.cumsum(_vbl(gaps))
+        pos_cum = np.cumsum(run_counts)  # per posting: end index in p_s
+        cell_off = np.zeros(len(run_starts) + 1, dtype=np.int64)
+        cell_off[1:] = byte_ends[pos_cum - 1]
+        cols["pos"] = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), len(run_starts),
+            [None, pa.py_buffer(cell_off), pa.py_buffer(payload)],
+        )
+    postings = pa.table(cols).sort_by([("term", "ascending"), ("doc_num", "ascending")])
     atomic_write_table(postings_path, postings)
     dls_t = pa.table(
         {"doc_num": docs.column("doc_num"), "dl": pa.array(dls, type=pa.int64())}

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from oboyu_ray.config import BuildConfig
 from oboyu_ray.pipelines.query import QueryEngine
-from oboyu_ray.stages.stats import idf
 
 
 class FederatedEngine:
@@ -105,13 +104,8 @@ class FederatedEngine:
         return out
 
     def term_weights(self, terms: List[str]) -> Dict[str, float]:
-        dfs = self.df(sorted(set(terms)))
-        n = int(self.stats["N"])
-        w: Dict[str, float] = {}
-        for t in terms:
-            if dfs.get(t, 0) > 0:
-                w[t] = w.get(t, 0.0) + idf(int(dfs[t]), n)
-        return w
+        return QueryEngine._weights_from_dfs(
+            terms, self.df(sorted(set(terms))), int(self.stats["N"]))
 
     # ------------------------------------------------------------ search
 
@@ -120,32 +114,27 @@ class FederatedEngine:
         exclude: Optional[List[str]] = None,
     ) -> pd.DataFrame:
         """Exact top-k across every member: (index_id, doc_num, score),
-        ranked by (score DESC, index_id ASC, doc_num ASC)."""
-        empty = pd.DataFrame(
-            {"index_id": pd.Series(dtype=np.int64),
-             "doc_num": pd.Series(dtype=np.int64),
-             "score": pd.Series(dtype=np.float64)}
-        )
-        weights = self.term_weights(terms)
-        if not weights:
-            return empty
-        if require_all and len(weights) < len(set(terms)):
-            return empty  # some term absent from EVERY member
+        ranked by (score DESC, index_id ASC, doc_num ASC).  A query that
+        is dead on the merged vocabulary (``QueryEngine._live``; e.g. a
+        strict term absent from EVERY member) fans out to no member."""
+        weights = QueryEngine._live(terms, self.df(sorted(set(terms))),
+                                    int(self.stats["N"]), require_all)
         return self._fan_weights(weights, k, require_all=require_all,
                                  excl=exclude or ())
 
     def _fan_weights(
-        self, weights: Dict[str, float], k: int,
+        self, weights: Optional[Dict[str, float]], k: int,
         require_all: bool = False, excl: Sequence[str] = (),
     ) -> pd.DataFrame:
         """Fan the SAME merged weights to every member's pool (each member
         merges its own shards' top-ks); the per-member top-ks merge on the
         driver with member order as the tie-break after score (the one
         documented deviation from a monolith's global doc order).  Each
-        member drops the excluded terms absent from its own vocabulary."""
+        member drops the excluded terms absent from its own vocabulary.
+        No weights (a dead query) → the typed empty frame, no fan-out."""
         method = "query_all" if require_all else "query"
         rows = []
-        for ei, e in enumerate(self.engines):
+        for ei, e in enumerate(self.engines if weights else ()):
             docs, scores = e._shards(method, weights, k=k, exclude_terms=excl)
             rows += [(s_, ei, d_) for d_, s_ in zip(docs.tolist(), scores.tolist())]
         rows.sort(key=lambda r: (-r[0], r[1], r[2]))
@@ -179,15 +168,8 @@ class FederatedEngine:
                 f"fuzzy {term!r}~{max_edits} expands to >{max_terms} terms "
                 "across the federation"
             )
-        n = int(self.stats["N"])
-        weights = {t: idf(int(d), n) for t, d in dfs.items() if d > 0}
-        if not weights:
-            return pd.DataFrame(
-                {"index_id": pd.Series(dtype=np.int64),
-                 "doc_num": pd.Series(dtype=np.int64),
-                 "score": pd.Series(dtype=np.float64)}
-            )
-        return self._fan_weights(weights, k)
+        return self._fan_weights(
+            QueryEngine._idf_weights(dfs, int(self.stats["N"])), k)
 
     def search(
         self, query: str, k: int = 10, hydrate: bool = False,

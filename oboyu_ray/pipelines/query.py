@@ -8,10 +8,22 @@ per-shard exact top-k by (score DESC, doc_num ASC) → optionally hydrates
 (conv_id, turn_idx, text) from the docs parquet (J2 broadcast-small-side
 lookup: the top-k id list is tiny).
 
+The driver keeps one home per decision of that lifecycle:
+
+* ``QueryEngine._live`` is the one dead-query rule.  A query whose terms
+  are all absent from the vocabulary, or a strict one (AND, phrase, span,
+  NEAR) missing a distinct term, answers empty without a fan-out.
+* ``_many_submit`` / ``_many_result`` is the one batched path (search,
+  phrase and count batches): one df sweep over the union of the batch's
+  terms, one shard ``batch`` over the live queries, empties scattered back
+  for the dead ones.  Single queries take ``_shards`` → ``_fanout``.
+* ``_expansion`` is the one memo of prefix and regex expansions.
+
 Vocabulary lookup is a driver-side point lookup: the vocab parquet is
 term-sorted, so at scale the df of ≤~10 query terms is a predicate-pushdown
 read over row groups; below ``VOCAB_INMEM_LIMIT`` rows it is simply loaded
-into a dict once.
+into a dict once.  Term ranges (prefix, a regex's literal prefix) read only
+the row groups that cover them.
 """
 
 from __future__ import annotations
@@ -206,47 +218,46 @@ class VocabLookup:
                     out[t] = int(dfs[ix])
         return out
 
+    def _term_range(self, lo: str, hi: Optional[str]):
+        """Yield ``(terms, dfs)`` runs that together hold every vocabulary
+        term in [lo, hi) (``hi`` None: no upper bound), term-sorted within a
+        run: one slice of the packed in-memory vocabulary, or per vocab file
+        only the row groups overlapping the range (row-group min statistics,
+        the point lookup's index).  The vocabulary is hash-BUCKETED by term,
+        so a file-backed range visits all B files."""
+        if self._map is not None:
+            terms, dfs_np = self._sorted_vocab()
+            i1 = len(terms) if hi is None else bisect.bisect_left(terms, hi)
+            i0 = bisect.bisect_left(terms, lo)
+            yield terms[i0:i1], dfs_np[i0:i1]
+            return
+        for f in self.files:
+            pf, mins = self._row_groups(f)
+            g0 = max(bisect.bisect_right(mins, lo) - 1, 0)
+            g1 = len(mins) if hi is None else bisect.bisect_left(mins, hi)
+            for gi in range(g0, min(g1, len(mins))):
+                tb = pf.read_row_group(gi, columns=["term", "df"])
+                col = tb.column("term").to_pylist()
+                i0 = bisect.bisect_left(col, lo)
+                i1 = len(col) if hi is None else bisect.bisect_left(col, hi)
+                yield col[i0:i1], tb.column("df").to_pylist()[i0:i1]
+
     def df_prefix(self, prefix: str, max_terms: int = 1000) -> Dict[str, int]:
         """df for EVERY vocabulary term starting with ``prefix`` — the
-        PrefixQuery expansion.  The vocabulary is hash-BUCKETED by term, so
-        the range scan visits all B bucket files, but each is term-sorted
-        with small row groups: per file only the row groups overlapping
-        [prefix, prefix+U+FFFF) decode (row-group min statistics, same
-        machinery as the point lookup).  Raises when the expansion exceeds
+        PrefixQuery expansion, one ``_term_range`` over
+        [prefix, prefix+U+FFFF).  Raises when the expansion exceeds
         ``max_terms`` — an unbounded wildcard ("a*") is a user error, not a
         silent 100k-term OR query."""
         if not prefix:
             raise ValueError("df_prefix: empty prefix")
-        hi = prefix + "￿"  # exclusive upper bound of the prefix range
         out: Dict[str, int] = {}
-        if self._map is not None:
-            terms, dfs_np = self._sorted_vocab()
-            i0 = bisect.bisect_left(terms, prefix)
-            i1 = bisect.bisect_left(terms, hi)
-            out = {
-                t: int(d) for t, d in zip(terms[i0:i1], dfs_np[i0:i1])
-            }
-        else:
-            for f in self.files:
-                pf, mins = self._row_groups(f)
-                if not mins:
-                    continue
-                g0 = max(bisect.bisect_right(mins, prefix) - 1, 0)
-                g1 = bisect.bisect_left(mins, hi)  # first group past the range
-                for gi in range(g0, min(g1, len(mins))):
-                    tb = pf.read_row_group(gi, columns=["term", "df"])
-                    col = tb.column("term").to_pylist()
-                    lo_ix = bisect.bisect_left(col, prefix)
-                    hi_ix = bisect.bisect_left(col, hi)
-                    for t, d in zip(col[lo_ix:hi_ix], tb.column("df").to_pylist()[lo_ix:hi_ix]):
-                        out[t] = int(d)
-                if len(out) > max_terms:
-                    break  # raise below with the (partial) count
-        if len(out) > max_terms:
-            raise ValueError(
-                f"prefix {prefix!r} expands to >{max_terms} terms; "
-                "narrow the prefix or raise max_terms"
-            )
+        for terms, dfs in self._term_range(prefix, prefix + "\uffff"):
+            out.update(zip(terms, map(int, dfs)))
+            if len(out) > max_terms:
+                raise ValueError(
+                    f"prefix {prefix!r} expands to >{max_terms} terms; "
+                    "narrow the prefix or raise max_terms"
+                )
         return out
 
     def df_regex(
@@ -254,16 +265,15 @@ class VocabLookup:
         literal_prefix: str = "",
     ) -> Dict[str, int]:
         """df for EVERY vocabulary term fully matching ``pattern`` (RE2,
-        implicit anchors — Lucene RegexpQuery semantics).  In-memory
-        vocabularies answer with one vectorized ``match_substring_regex``
-        over the packed sorted term list; beyond the limit the hash-bucketed
-        files sweep as parallel Ray tasks (the same fan-out shape as
-        ``df_fuzzy`` — a regex has no hash locality).  ``literal_prefix``
+        implicit anchors — Lucene RegexpQuery semantics): one vectorized
+        ``match_substring_regex`` per ``_term_range`` run.  ``literal_prefix``
         (the pattern's leading literal run, supplied by the wildcard
-        rewrite) narrows the in-memory scan to the covering term range
-        exactly like ``df_prefix``; the file sweep reads every term.
-        Raises past ``max_terms`` — an unbounded ``.*`` is a
-        user error, not a silent full-vocabulary OR query."""
+        rewrite) narrows that range to [lit, lit+U+FFFF) exactly like
+        ``df_prefix``, in memory and on file.  A file-backed vocabulary with
+        no literal prefix sweeps the hash-bucketed files as parallel Ray
+        tasks instead (the same fan-out shape as ``df_fuzzy`` — a regex has
+        no hash locality).  Raises past ``max_terms`` — an unbounded ``.*``
+        is a user error, not a silent full-vocabulary OR query."""
         import pyarrow as _pa
         import pyarrow.compute as _pc
 
@@ -271,21 +281,19 @@ class VocabLookup:
             raise ValueError("df_regex: empty pattern")
         anchored = f"^(?:{pattern})$"
         out: Dict[str, int] = {}
-        if self._map is not None:
-            terms, dfs_np = self._sorted_vocab()
-            i0, i1 = 0, len(terms)
-            if literal_prefix:
-                i0 = bisect.bisect_left(terms, literal_prefix)
-                i1 = bisect.bisect_left(terms, literal_prefix + "￿")
-            sl = terms[i0:i1]
-            m = _pc.match_substring_regex(
-                _pa.array(sl, type=_pa.string()), pattern=anchored
-            ).to_numpy(zero_copy_only=False)
-            for ix in np.flatnonzero(m):
-                out[sl[int(ix)]] = int(dfs_np[i0 + int(ix)])
-        else:
+        if self._map is None and not literal_prefix:
             out = self._sweep(_regex_scan_table, _scan_vocab_regex_file,
                               (anchored,), parallel, max_terms)
+        else:
+            hi = literal_prefix + "\uffff" if literal_prefix else None
+            for terms, dfs in self._term_range(literal_prefix, hi):
+                m = _pc.match_substring_regex(
+                    _pa.array(terms, type=_pa.string()), pattern=anchored
+                ).to_numpy(zero_copy_only=False)
+                for ix in np.flatnonzero(m):
+                    out[terms[int(ix)]] = int(dfs[int(ix)])
+                if len(out) > max_terms:
+                    break
         if len(out) > max_terms:
             raise ValueError(
                 f"regex {pattern!r} expands to >{max_terms} terms; "
@@ -442,6 +450,16 @@ def _read_doc_texts_local(path: str, wanted: list):
 _read_doc_texts = ray.remote(num_cpus=0)(_read_doc_texts_local)
 
 
+# per-query shard arguments of each batchable method, from the query's
+# tokens and its live weights (``QueryEngine._many_submit``)
+_BATCH_ARGS = {
+    "query": lambda terms, weights: (weights,),
+    "query_all": lambda terms, weights: (weights,),
+    "query_phrase": lambda terms, weights: (terms, weights),
+    "count_matches": lambda terms, weights: ([t for t in terms if t in weights],),
+}
+
+
 def _combine(replies: list, method: str, args: tuple, kw: dict):
     """Reduce the per-target replies of the shard call ``method(*args,
     **kw)`` to the one reply a single shard holding every part would give —
@@ -531,6 +549,7 @@ class QueryEngine:
         self.vocab = VocabLookup(os.path.join(index_dir, "vocab"))
         self.resolver = ConvResolver(index_dir, conv_inmem_limit=self._conv_inmem_limit)
         self.tokenizer = get_tokenizer(self.cfg)
+        self._exp_cache: Dict[Tuple[str, str], tuple] = {}  # see _expansion
 
         parts = [int(p) for p in self.report["parts"]]
         if num_shards is None:
@@ -662,23 +681,10 @@ class QueryEngine:
     def _shards(self, method: str, *args, **kw):
         """Run the shard method ``method(*args, **kw)`` across the pool and
         reduce the replies to one (``_combine``) — the one path every
-        driver→shard query and count takes."""
+        single driver→shard query and count takes (a batch of queries takes
+        ``_many_submit`` / ``_many_result``)."""
         submit = self._shard_call(method, args, kw)
         return _combine(self._fanout(submit) if submit else [], method, args, kw)
-
-    def _shards_submit(self, method: str, *args, **kw) -> dict:
-        """``_shards`` without waiting: the in-flight call for
-        ``_shards_result`` (pipelined serving)."""
-        submit = self._shard_call(method, args, kw)
-        return {"call": (method, args, kw), "submit": submit,
-                "refs": self._fanout_submit(submit) if submit else None,
-                "epoch": self._pool_epoch}
-
-    def _shards_result(self, call: dict):
-        """Wait on a ``_shards_submit`` call and reduce its replies."""
-        replies = (self._fanout_wait(call["refs"], call["submit"], call["epoch"])
-                   if call["submit"] else [])
-        return _combine(replies, *call["call"])
 
     # ------------------------------------------------------------ querying
 
@@ -690,10 +696,35 @@ class QueryEngine:
                 weights[t] = weights.get(t, 0.0) + idf(int(dfs[t]), n)
         return weights
 
+    @staticmethod
+    def _live(terms: List[str], dfs: Dict[str, int], n: int,
+              strict: bool) -> Optional[Dict[str, float]]:
+        """The one rule for a dead query: the signed weights of ``terms``
+        (``_weights_from_dfs``: exactly the terms with df > 0, idf-0 terms
+        included), or None when no shard could match — no term is in the
+        vocabulary, or ``strict`` (AND, phrase, span, near) and some
+        distinct term is absent.  A dead query answers empty without a
+        fan-out."""
+        weights = QueryEngine._weights_from_dfs(terms, dfs, n)
+        if not weights or (strict and len(weights) < len(set(terms))):
+            return None
+        return weights
+
+    @staticmethod
+    def _idf_weights(dfs: Dict[str, int], n: int) -> Dict[str, float]:
+        """idf per expanded term (multiplicity 1) — the weights of every
+        multi-term rewrite: prefix, regex, wildcard, fuzzy."""
+        return {t: idf(int(d), n) for t, d in dfs.items() if d > 0}
+
+    def _query_weights(self, terms: List[str],
+                       strict: bool = False) -> Optional[Dict[str, float]]:
+        """``_live`` over this index's vocabulary and N."""
+        return self._live(terms, self.vocab.df(terms), int(self.stats["N"]), strict)
+
     def term_weights(self, terms: List[str]) -> Dict[str, float]:
         """idf × multiplicity per unique term (duplicate query terms double-
         count, reference bm25_indexer.py:332)."""
-        return self._weights_from_dfs(terms, self.vocab.df(terms), int(self.stats["N"]))
+        return self._query_weights(terms) or {}
 
     def search_terms(
         self, terms: List[str], k: int = 10, require_all: bool = False,
@@ -714,15 +745,34 @@ class QueryEngine:
         scope: "Optional[Tuple[int, int]]" = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The merged (doc_nums, scores) top-k behind ``search_terms``."""
-        weights = self.term_weights(terms)
-        if not weights:
-            return _no_hits()
-        # strict AND: a corpus-absent distinct term is unmatchable —
-        # term_weights drops df=0 terms, so compare against the asked set
-        if require_all and len(weights) < len(set(terms)):
+        weights = self._query_weights(terms, require_all)
+        if weights is None:
             return _no_hits()
         return self._shards("query_all" if require_all else "query", weights,
                             k=k, exclude_terms=exclude, scope=scope)
+
+    def _expansion(self, key: Tuple[str, str], lookup, max_terms: int):
+        """The object ref of a prefix or regex expansion's weights (None for
+        an empty expansion), memoized per engine: the expansion is a pure
+        function of (``key``, index), so a repeated key skips the vocabulary
+        walk AND the object-store put (the weights ship ONCE —
+        re-serializing a 10^4-term dict per actor call measured ~1 ms ×
+        #actors per query).  FIFO over 256 keys, each entry ``(n_exp,
+        ref)``.  ``lookup()`` runs the expansion on a miss.  ``max_terms``
+        is checked per call: it bounds the CALL, not the cache entry."""
+        ent = self._exp_cache.get(key)
+        if ent is None:
+            dfs = lookup()
+            weights = self._idf_weights(dfs, int(self.stats["N"]))
+            while len(self._exp_cache) >= 256:
+                self._exp_cache.pop(next(iter(self._exp_cache)))
+            ent = self._exp_cache[key] = (len(dfs), ray.put(weights) if weights else None)
+        if ent[0] > max_terms:
+            raise ValueError(
+                f"{key[0]} {key[1]!r} expands to >{max_terms} terms; "
+                f"narrow the {key[0]} or raise max_terms"
+            )
+        return ent[1]
 
     def search_prefix(
         self, prefix: str, k: int = 10, max_terms: int = 1000,
@@ -730,41 +780,22 @@ class QueryEngine:
         scope: "Optional[Tuple[int, int]]" = None,
     ) -> pd.DataFrame:
         """Wildcard ``pre*`` retrieval: expand the prefix against the
-        vocabulary (bounded by ``max_terms``), then run the ordinary OR
-        query over the expanded term set (idf per matched term,
-        multiplicity 1) — Lucene's PrefixQuery → BooleanQuery rewrite.
-        Unknown prefix → empty frame.  ``scope`` composes like search()."""
-        # engine-level expansion cache: the expansion and its weights are a
-        # pure function of (prefix, index) — repeated prefixes skip the
-        # vocabulary walk AND the object-store put.  The max_terms cap is
-        # re-checked per call (it bounds the CALL, not the cache entry).
-        cache = getattr(self, "_pfx_cache", None)
-        if cache is None:
-            cache = self._pfx_cache = {}
-        ent = cache.get(prefix)
-        if ent is None:
-            dfs = self.vocab.df_prefix(prefix, max_terms=max_terms)
-            n = int(self.stats["N"])
-            weights = {t: idf(int(d), n) for t, d in dfs.items() if d > 0}
-            # ray.put ships the expansion ONCE (re-serializing a 10^4-term
-            # dict per actor call measured ~1 ms × #actors per query)
-            ref = ray.put(weights) if weights else None
-            while len(cache) >= 256:
-                cache.pop(next(iter(cache)))
-            ent = cache[prefix] = (len(dfs), weights, ref)
-        n_exp, weights, weights_ref = ent
-        if n_exp > max_terms:
-            raise ValueError(
-                f"prefix {prefix!r} expands to >{max_terms} terms; "
-                "narrow the prefix or raise max_terms"
-            )
-        if not weights:
+        vocabulary (bounded by ``max_terms``, memoized by ``_expansion``),
+        then run the ordinary OR query over the expanded term set (idf per
+        matched term, multiplicity 1) — Lucene's PrefixQuery → BooleanQuery
+        rewrite.  Unknown prefix → empty frame.  ``scope`` composes like
+        search()."""
+        weights_ref = self._expansion(
+            ("prefix", prefix),
+            lambda: self.vocab.df_prefix(prefix, max_terms=max_terms), max_terms,
+        )
+        if weights_ref is None:
             return self._result(_no_hits(), hydrate, resolve)
         # term-RANGE fan-out: the blocks layout is term-sorted, so shards
         # answer the prefix as one contiguous decode per part
         # (query_term_range) instead of per-term work over the expansion;
         # weights_key=prefix lets shards reuse per-range weight vectors.
-        top = self._shards("query_term_range", prefix, prefix + "￿",
+        top = self._shards("query_term_range", prefix, prefix + "\uffff",
                            weights_ref, k=k, scope=scope, weights_key=prefix)
         return self._result(top, hydrate, resolve)
 
@@ -780,17 +811,15 @@ class QueryEngine:
         BooleanQuery rewrite, identical scoring to ``fuzzy_topk``.  Unknown
         neighborhood → empty frame.  ``scope`` composes like search()."""
         dfs = self.vocab.df_fuzzy(term, max_edits=max_edits, max_terms=max_terms)
-        n = int(self.stats["N"])
-        weights = {t: idf(int(d), n) for t, d in dfs.items() if d > 0}
+        weights = self._idf_weights(dfs, int(self.stats["N"]))
         return self._search_expanded(weights, k, hydrate, resolve, scope)
 
-    def _search_expanded(
-        self, weights: Dict[str, float], k: int,
-        hydrate: bool, resolve: bool, scope,
-    ) -> pd.DataFrame:
-        """OR query over a pre-expanded term→weight map (the shared tail of
-        every multi-term rewrite: fuzzy / regex / wildcard).  ≥64 matched
-        terms take the shards' wide-OR dense path automatically."""
+    def _search_expanded(self, weights, k: int, hydrate: bool, resolve: bool,
+                         scope) -> pd.DataFrame:
+        """OR query over a pre-expanded term→weight map, or its object ref
+        (the shared tail of every multi-term rewrite: fuzzy / regex /
+        wildcard).  ≥64 matched terms take the shards' wide-OR dense path
+        automatically."""
         if not weights:
             return self._result(_no_hits(), hydrate, resolve)
         return self._result(self._shards("query", weights, k=k, scope=scope),
@@ -809,32 +838,19 @@ class QueryEngine:
         BooleanQuery rewrite, identical scoring to ``regex_topk``.  No
         vocabulary match → empty frame.  ``scope`` composes like search().
 
-        The expansion is a pure function of (pattern, index), so it memoizes
-        like the prefix cache — a repeated pattern skips the vocabulary
-        sweep entirely (measured 58 → ~11 ms p50 at 385k terms; the FIRST
-        occurrence still pays one full RE2 scan of the vocabulary — exact
+        The expansion memoizes like the prefix one (``_expansion``) — a
+        repeated pattern skips the vocabulary sweep entirely (measured 58 →
+        ~11 ms p50 at 385k terms; the FIRST occurrence still pays one RE2
+        scan of the vocabulary, or of its literal-prefix range — exact
         general-regex matching has no sub-linear path without a
-        term-automaton index).  The max_terms cap re-checks per call."""
-        cache = getattr(self, "_rx_cache", None)
-        if cache is None:
-            cache = self._rx_cache = {}
-        ent = cache.get(pattern)
-        if ent is None:
-            dfs = self.vocab.df_regex(
-                pattern, max_terms=max_terms, literal_prefix=_literal_prefix
-            )
-            n = int(self.stats["N"])
-            weights = {t: idf(int(d), n) for t, d in dfs.items() if d > 0}
-            while len(cache) >= 256:
-                cache.pop(next(iter(cache)))
-            ent = cache[pattern] = (len(dfs), weights)
-        n_exp, weights = ent
-        if n_exp > max_terms:
-            raise ValueError(
-                f"regex {pattern!r} expands to >{max_terms} terms; "
-                "narrow the pattern or raise max_terms"
-            )
-        return self._search_expanded(weights, k, hydrate, resolve, scope)
+        term-automaton index)."""
+        weights_ref = self._expansion(
+            ("regex", pattern),
+            lambda: self.vocab.df_regex(pattern, max_terms=max_terms,
+                                        literal_prefix=_literal_prefix),
+            max_terms,
+        )
+        return self._search_expanded(weights_ref, k, hydrate, resolve, scope)
 
     def search_wildcard(
         self, pattern: str, k: int = 10, max_terms: int = 1000,
@@ -1046,15 +1062,13 @@ class QueryEngine:
         top-k, each shard returns one integer.  Strict-AND on a corpus-
         absent term counts zero (same semantics as search)."""
         terms = self.tokenizer.tokenize(query)
-        dfs = self.vocab.df(sorted(set(terms)))
-        live = [t for t in terms if dfs.get(t, 0) > 0]
-        if not live:
-            return 0
-        if require_all and len(set(live)) < len(set(terms)):
+        weights = self._query_weights(terms, require_all)
+        if weights is None:
             return 0
         excl = self.tokenizer.tokenize(exclude) if exclude else []
-        return self._shards("count_matches", live, require_all=require_all,
-                            exclude_terms=excl, scope=scope)
+        return self._shards("count_matches", [t for t in terms if t in weights],
+                            require_all=require_all, exclude_terms=excl,
+                            scope=scope)
 
     def search_dismax(
         self, query: str, k: int = 10, tiebreak: float = 0.3,
@@ -1065,9 +1079,8 @@ class QueryEngine:
         ``max + tiebreak·(sum − max)`` over single-term BM25 contributions.
         Clauses are the query's DISTINCT terms (a duplicated token is the
         same clause) — identical scoring to ``dismax_topk``."""
-        terms = sorted(set(self.tokenizer.tokenize(query)))
-        weights = self.term_weights(terms)
-        if not weights:
+        weights = self._query_weights(sorted(set(self.tokenizer.tokenize(query))))
+        if weights is None:
             return self._result(_no_hits(), hydrate, resolve)
         top = self._shards("query_dismax", weights, float(tiebreak), k=k,
                            scope=scope)
@@ -1151,11 +1164,9 @@ class QueryEngine:
         scope: "Optional[Tuple[int, int]]" = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The merged (doc_nums, scores) top-k behind ``search_phrase_terms``."""
-        if not terms:
+        weights = self._query_weights(terms, strict=True)
+        if weights is None:
             return _no_hits()
-        weights = self.term_weights(terms)
-        if len(weights) < len(set(terms)):
-            return _no_hits()  # some term has df 0 → no doc can hold the phrase
         return self._shards("query_phrase", terms, weights, k=k, scope=scope)
 
     def search_near(
@@ -1172,8 +1183,8 @@ class QueryEngine:
         a, b = ta[0], tb[0]
         # duplicate-term multiplicity matches the brute force: a self-NEAR
         # query [a, a] double-weights the term like any duplicated query term
-        weights = self.term_weights([a, b])
-        if len(weights) < len({a, b}):
+        weights = self._query_weights([a, b], strict=True)
+        if weights is None:
             return self._finish(_no_hits(), hydrate)
         return self._finish(
             self._shards("query_near", a, b, int(window), weights, k=k,
@@ -1192,11 +1203,9 @@ class QueryEngine:
         smaller windows are unmatchable → empty.  Identical scoring to
         ``span_near_topk``."""
         terms = self.tokenizer.tokenize(phrase)
-        if not terms or int(window) < len(terms) - 1:
+        weights = self._query_weights(terms, strict=True)
+        if weights is None or int(window) < len(terms) - 1:
             return self._finish(_no_hits(), hydrate)
-        weights = self.term_weights(terms)
-        if len(weights) < len(set(terms)):
-            return self._finish(_no_hits(), hydrate)  # df-0 term → unmatchable
         return self._finish(
             self._shards("query_span_near", terms, int(window), weights, k=k,
                          scope=scope),
@@ -1216,58 +1225,26 @@ class QueryEngine:
         )
 
     def search_phrase_many(self, phrases: List[str], k: int = 10) -> List[pd.DataFrame]:
-        """Batched phrase retrieval: ONE vocab df sweep for the union of all
-        phrases' terms and ONE fan-out round for all phrases (one shard
-        ``batch`` of query_phrase calls; consecutive phrases share the shard
-        caches) — the phrase counterpart of search_many."""
-        token_lists = [self.tokenizer.tokenize(p) for p in phrases]
-        dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
-        n = int(self.stats["N"])
-        weight_list = [self._weights_from_dfs(ts, dfs, n) for ts in token_lists]
-        # a phrase is live only when EVERY distinct term exists (adjacency
-        # over a missing term is unmatchable — strict empty)
-        live = [
-            (i, token_lists[i], weight_list[i])
-            for i in range(len(phrases))
-            if token_lists[i] and len(weight_list[i]) == len(set(token_lists[i]))
-        ]
-        tops = [_no_hits() for _ in phrases]
-        if live:
-            got = self._shards("batch", "query_phrase",
-                               [(t, w) for _, t, w in live], k=k)
-            for (i, _, _), top in zip(live, got):
-                tops[i] = top
-        return [_topk_frame(top) for top in tops]
+        """Batched phrase retrieval (``_many_submit``: one vocab df sweep,
+        one shard ``batch`` of query_phrase calls; consecutive phrases share
+        the shard caches) — the phrase counterpart of search_many."""
+        handle = self._many_submit(
+            "query_phrase", [self.tokenizer.tokenize(p) for p in phrases],
+            True, k=k,
+        )
+        return [_topk_frame(top) for top in self._many_result(handle)]
 
     def count_many(
         self, queries: List[str], require_all: bool = False
     ) -> List[int]:
-        """Batched total-hit counts: ONE vocab df sweep for the union of
-        all queries' terms, ONE fan-out round (one shard ``batch`` of
-        count_matches calls), then
-        per-query integer sums — the counting counterpart of search_many.
-        Semantics per query match count_matches (df-0 terms drop; strict
-        AND on a corpus-absent term counts zero)."""
-        token_lists = [self.tokenizer.tokenize(q) for q in queries]
-        dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
-        live_lists: List[List[str]] = []
-        idx_of: List[int] = []
-        out = [0] * len(queries)
-        for i, ts in enumerate(token_lists):
-            live = [t for t in ts if dfs.get(t, 0) > 0]
-            if not live:
-                continue
-            if require_all and len(set(live)) < len(set(ts)):
-                continue
-            idx_of.append(i)
-            live_lists.append(live)
-        if not live_lists:
-            return out
-        got = self._shards("batch", "count_matches",
-                           [(ts,) for ts in live_lists], require_all=require_all)
-        for i, n in zip(idx_of, got):
-            out[i] = n
-        return out
+        """Batched total-hit counts (``_many_submit``: one vocab df sweep,
+        one shard ``batch`` of count_matches calls) — the counting
+        counterpart of search_many, with count_matches' semantics per
+        query."""
+        return self._many_result(self._many_submit(
+            "count_matches", [self.tokenizer.tokenize(q) for q in queries],
+            require_all, require_all=require_all,
+        ))
 
     def search_many(
         self, queries: List[str], k: int = 10, require_all: bool = False,
@@ -1303,34 +1280,51 @@ class QueryEngine:
         actors execute their queues in order; results are matched by
         handle, so out-of-order collection is correct too, just pointless).
         """
-        token_lists = [self.tokenizer.tokenize(q) for q in queries]
-        dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
-        n = int(self.stats["N"])
-        weight_list = [self._weights_from_dfs(ts, dfs, n) for ts in token_lists]
-        live = [
-            (i, w)
-            for i, w in enumerate(weight_list)
-            if w and not (require_all and len(w) < len(set(token_lists[i])))
-        ]
-        handle = {"n": len(queries), "live": live, "call": None}
-        if live:
-            handle["call"] = self._shards_submit(
-                "batch", "query_all" if require_all else "query",
-                [(w,) for _, w in live], k=k,
-                exclude_terms=self.tokenizer.tokenize(exclude) if exclude else [],
-                scope=scope,
-            )
-        return handle
+        return self._many_submit(
+            "query_all" if require_all else "query",
+            [self.tokenizer.tokenize(q) for q in queries], require_all, k=k,
+            exclude_terms=self.tokenizer.tokenize(exclude) if exclude else [],
+            scope=scope,
+        )
 
     def search_many_result(self, handle: dict) -> List[pd.DataFrame]:
         """Wait on a ``search_many_submit`` handle and merge — same output
         (order, schema, values) as ``search_many`` on the same inputs."""
-        tops = [_no_hits() for _ in range(handle["n"])]
-        if handle["call"]:
-            got = self._shards_result(handle["call"])
-            for (i, _), top in zip(handle["live"], got):
-                tops[i] = top
-        return [_topk_frame(top) for top in tops]
+        return [_topk_frame(top) for top in self._many_result(handle)]
+
+    def _many_submit(self, method: str, token_lists: List[List[str]],
+                     strict: bool, **shared_kw) -> dict:
+        """The one batched path, issued WITHOUT waiting: one vocab df sweep
+        over the union of every query's terms, ``_live`` per query, and one
+        shard ``batch`` of ``method`` calls over the live queries only
+        (``shared_kw`` applies to every call).  Returns the in-flight handle
+        for ``_many_result``."""
+        dfs = self.vocab.df(sorted({t for ts in token_lists for t in ts}))
+        n = int(self.stats["N"])
+        live, calls = [], []
+        for i, ts in enumerate(token_lists):
+            weights = self._live(ts, dfs, n, strict)
+            if weights is not None:
+                live.append(i)
+                calls.append(_BATCH_ARGS[method](ts, weights))
+        submit = self._shard_call("batch", (method, calls), shared_kw) if calls else None
+        # refs before epoch: submitting to a closed engine respawns its pool
+        return {"n": len(token_lists), "live": live, "args": (method, calls),
+                "kw": shared_kw, "submit": submit,
+                "refs": self._fanout_submit(submit) if submit else None,
+                "epoch": self._pool_epoch}
+
+    def _many_result(self, handle: dict) -> list:
+        """Wait on a ``_many_submit`` handle: one reply per query in input
+        order.  A dead query (or every query under a dead scope) gets its
+        method's empty reply, ``_combine`` of no replies: no hits, or a
+        count of 0."""
+        (method, _), kw = handle["args"], handle["kw"]
+        replies = (self._fanout_wait(handle["refs"], handle["submit"], handle["epoch"])
+                   if handle["submit"] else [])
+        got = dict(zip(handle["live"], _combine(replies, "batch", handle["args"], kw)))
+        return [got[i] if i in got else _combine([], method, (), kw)
+                for i in range(handle["n"])]
 
     def _result(self, top: Tuple[np.ndarray, np.ndarray], hydrate: bool,
                 resolve: bool) -> pd.DataFrame:

@@ -152,3 +152,40 @@ def test_df_regex_sweeps_match_in_memory(tmp_path, pattern, literal_prefix):
     assert vl.df(sorted(vocab) + ["zzzabsent"]) == {**vocab, "zzzabsent": 0}
     with pytest.raises(ValueError, match="expands"):
         vl.df_regex(".*", max_terms=2, parallel=False)
+
+
+@pytest.mark.parametrize("pattern,literal_prefix", [
+    ("tab.*", "tab"), ("sc.ns?", "sc"), ("j.*", "j"), ("zzz.*", "zzz"),
+    ("デ.*", "デ"),
+])
+def test_df_regex_file_path_reads_only_the_literal_prefix_range(
+    tmp_path, monkeypatch, pattern, literal_prefix,
+):
+    """Beyond the in-memory limit, a regex with a literal prefix reads only
+    the row groups covering [lit, lit+U+FFFF) — the same row groups as
+    ``df_prefix(lit)``, fewer than the vocabulary has — and still equals
+    the in-memory answer."""
+    import pyarrow.parquet as pq
+
+    from oboyu_ray.pipelines.query import VocabLookup
+
+    vocab_dir, _ = _bucketed_vocab(tmp_path)
+    vl = VocabLookup(vocab_dir)
+    inmem = vl.df_regex(pattern, literal_prefix=literal_prefix)
+    vl._map = None
+    reads = []
+    read_row_group = pq.ParquetFile.read_row_group
+
+    def counting(self, *args, **kwargs):
+        reads.append(args[0] if args else kwargs.get("i"))
+        return read_row_group(self, *args, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
+    got = vl.df_regex(pattern, literal_prefix=literal_prefix)
+    n_regex = len(reads)
+    reads.clear()
+    vl.df_prefix(literal_prefix)
+    assert got == inmem, pattern
+    assert n_regex == len(reads) > 0, (n_regex, len(reads))
+    all_groups = sum(pq.read_metadata(f).num_row_groups for f in vl.files)
+    assert n_regex < all_groups, (n_regex, all_groups)
