@@ -1,11 +1,28 @@
 """Dataset-native brute-force BM25 scoring — the rank-identity baseline.
 
 This is the M3 "exact scorer" of SURVEY §7: a pure Ray Data expression of
-BM25 top-k (filter postings to query terms → per-batch complete (query, doc)
-scores — a doc's postings never cross batch boundaries, so there is NO
-global groupby shuffle — → per-query top-k).  The sharded WAND engine
-(state/shards.py) must return exactly these results; the driver's DuckDB
-oracle checks this pipeline's output SQL-side.
+BM25 top-k.  Every scorer has the same shape, and each step of it has one
+home:
+
+* **one stats pass** (``_stats_and_dfs``): a single tokenization pass gives
+  N, total_dl, avgdl and the df of every term a predicate keeps — a term
+  set, prefixes, fuzzy specs or anchored regexes;
+* **two batch scorers**: the OR scorer (``_make_score_docs``: per-term
+  weighted contributions folded per doc by sum or dismax) and the
+  positional scorer (``_positional_topk``: phrase, ordered-span and NEAR
+  matching over the batch's token streams).  Each scores a batch of DOCS in
+  place — a doc's postings never cross batch boundaries, so there is NO
+  global groupby shuffle;
+* **one local top-k** (``_local_topk``): each batch emits only its per-query
+  top-k in the global total order;
+* **one merge** (``_rank_topk_frames``): the driver ranks the union of the
+  local top-ks exactly (the global top-k is a prefix of it).
+
+The sharded WAND engine (state/shards.py) must return exactly these results;
+the driver's DuckDB oracle checks this pipeline's output SQL-side.  The
+query-language helpers (boolean parser, synonym groups, wildcard and fuzzy
+term matching) live in ``functions/querylang``, shared with the engine; no
+scoring code is shared.
 
 Candidate semantics: a document is ranked iff it contains at least one query
 term (classic document-at-a-time retrieval over the inverted index).  The
@@ -22,8 +39,10 @@ orders and comparable against SQL oracles.
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Sequence
+from collections import Counter
+from functools import reduce
+from types import SimpleNamespace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -33,8 +52,18 @@ import pyarrow.compute as pc
 import ray.data
 
 from oboyu_ray.config import BM25Config
+from oboyu_ray.functions.querylang import (
+    _anchored,
+    _fuzzy_term_mask,
+    bool_leaves,
+    lev_at_most,
+    parse_bool_query,
+    render_bool_query,
+    synonym_groups,
+    wildcard_to_regex,
+)
 from oboyu_ray.stages.postings import get_tokenizer, postings_batch
-from oboyu_ray.stages.stats import bm25_term_score, collection_stats, idf, term_dfs
+from oboyu_ray.stages.stats import bm25_term_score, idf
 
 
 def tokenize_queries(queries: Sequence[str], cfg: BM25Config = BM25Config()) -> Dict[str, List[str]]:
@@ -52,48 +81,48 @@ def score_micros(scores: np.ndarray) -> np.ndarray:
     return np.atleast_1d(micros(scores))
 
 
-def query_postings(
+# ------------------------------------------------------------ the stats pass
+
+def _in(terms):
+    """keep-predicate: membership in a term set."""
+    vs = pa.array(sorted(set(terms)), type=pa.string())
+    return lambda col: pc.is_in(col, value_set=vs)
+
+
+def _any(match, patterns):
+    """keep-predicate: OR of ``match(col, pattern=p)`` over a non-empty
+    list of patterns."""
+    return lambda col: reduce(pc.or_, [match(col, pattern=x) for x in patterns])
+
+
+def _stats_and_dfs(
     docs_ds: "ray.data.Dataset",
-    terms: Sequence[str],
-    cfg: BM25Config = BM25Config(),
-    id_col: str = "doc_id",
-    text_col: str = "text",
-) -> "ray.data.Dataset":
-    """Postings restricted to the given terms (still over ALL docs)."""
-    term_set = pa.array(sorted(set(terms)), type=pa.string())
-
-    def extract(batch: pa.Table) -> pa.Table:
-        p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
-        return p.filter(pc.is_in(p.column("term"), value_set=term_set))
-
-    return docs_ds.map_batches(extract, batch_format="pyarrow")
-
-
-def _stats_and_term_dfs(
-    docs_ds: "ray.data.Dataset",
-    terms: Sequence[str],
+    keep,
     cfg: BM25Config,
     id_col: str,
     text_col: str,
 ):
-    """One tokenization pass → ({N, total_dl, avgdl}, df per query term).
-    Per-batch partials stream back as tiny tables and combine driver-side
-    (df = count of (term, doc) posting rows per term, which is batch-safe
-    regardless of how doc rows split across batches)."""
-    term_set = pa.array(sorted(set(terms)), type=pa.string())
+    """One tokenization pass → ({N, total_dl, avgdl}, df per kept term).
+
+    ``keep(terms) -> mask`` selects among each batch's DISTINCT terms (a
+    term set, prefixes, fuzzy specs or anchored regexes).  Per-batch
+    partials stream back as tiny tables and combine driver-side (df = count
+    of (term, doc) posting rows per term, which is batch-safe regardless of
+    how doc rows split across batches)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
         total_dl = 0
         if p.num_rows:
             total_dl = int(pc.sum(p.column("tf")).as_py() or 0)
-        q = p.filter(pc.is_in(p.column("term"), value_set=term_set))
         g = (
-            q.group_by("term").aggregate([("tf", "count")])
-            if q.num_rows
+            p.group_by("term").aggregate([("tf", "count")])
+            if p.num_rows
             else pa.table({"term": pa.array([], type=pa.string()),
                            "tf_count": pa.array([], type=pa.int64())})
         )
+        if g.num_rows:
+            g = g.filter(keep(g.column("term")))
         return pa.table(
             {
                 "term": pa.concat_arrays([pa.array([None], type=pa.string()),
@@ -133,6 +162,16 @@ def _stats_and_term_dfs(
     return stats, df_map
 
 
+def _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats):
+    """({N, total_dl, avgdl}, df per query term), tokenizing the corpus only
+    once; caller-given ``stats`` replace the pass's own."""
+    all_terms = sorted({t for ts in queries.values() for t in ts})
+    if not all_terms:
+        return (stats or {"N": 0, "total_dl": 0, "avgdl": 0.0}), {}
+    got, df_map = _stats_and_dfs(docs_ds, _in(all_terms), cfg, id_col, text_col)
+    return (got if stats is None else stats), df_map
+
+
 def _query_weights(
     queries: Dict[str, List[str]], df_map: Dict[str, int], n_docs: int
 ) -> Dict[str, Dict[str, float]]:
@@ -151,40 +190,98 @@ def _query_weights(
     return weights
 
 
+# ------------------------------------------------ local top-k and the merge
+
+def _empty_topk(id_col: str, col: str = "score_micros") -> pd.DataFrame:
+    """The typed empty (query_id, <id_col>, <col>, rank) result frame."""
+    return pd.DataFrame(
+        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
+         col: pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
+    )
+
+
+def _local_topk(qid: str, ids, scores, k: int | None, id_col: str, col: str = "score"):
+    """One query's rows of one batch: (query_id, <id_col>, <col>), plus
+    ``score_micros`` for a float ``score``; with ``k`` set, cut to the local
+    top-k in the global total order (key DESC, id ASC), so the global top-k
+    is a prefix of the merged local top-ks."""
+    g = pd.DataFrame({id_col: ids, col: scores})
+    if k is not None:
+        key = col
+        if col == "score":
+            key = "score_micros"
+            g[key] = score_micros(g[col].to_numpy())
+        g = g.sort_values([key, id_col], ascending=[False, True], kind="mergesort").head(k)
+    g.insert(0, "query_id", qid)
+    return g
+
+
+def _batch_table(frames, batch: pa.Table, id_col: str, cols: Sequence[str]) -> pa.Table:
+    """A batch's per-query frames as one Arrow table of ``cols`` — the typed
+    empty table when no query matched."""
+    if not frames:
+        types = {"query_id": pa.string(), id_col: batch.schema.field(id_col).type,
+                 "score": pa.float64()}
+        return pa.table({c: pa.array([], type=types.get(c, pa.int64())) for c in cols})
+    out = pd.concat(frames, ignore_index=True)
+    return pa.Table.from_pandas(out[list(cols)], preserve_index=False)
+
+
+def _rank_topk_frames(
+    docs_ds: "ray.data.Dataset", score_docs, k: int, id_col: str,
+    offset: int = 0, col: str = "score_micros", drop: Dict[str, int] | None = None,
+) -> pd.DataFrame:
+    """The one driver merge: run ``score_docs`` over every batch, drop each
+    query's ``drop`` doc, rank the local top-k rows globally by (``col``
+    DESC, id ASC) and keep ranks offset+1 .. offset+k per query."""
+    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
+    if drop:
+        pdf = pdf[pdf[id_col] != pdf["query_id"].map(drop)]
+    if pdf.empty:
+        return _empty_topk(id_col, col)
+    pdf = pdf.sort_values(
+        ["query_id", col, id_col], ascending=[True, False, True], kind="mergesort"
+    )
+    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
+    out = pdf[(pdf["rank"] > offset) & (pdf["rank"] <= offset + k)][
+        ["query_id", id_col, col, "rank"]]
+    out = out.reset_index(drop=True)
+    out["rank"] = out["rank"].astype(np.int64)
+    return out
+
+
+# ------------------------------------------------------------ the OR scorer
+
 def _make_score_docs(
-    queries: Dict[str, List[str]],
+    weights: Dict[str, Dict[str, float]],
     cfg: BM25Config,
-    stats: Dict[str, float],
-    df_map: Dict[str, int],
+    avgdl: float,
     id_col: str,
     text_col: str,
     local_k: int | None = None,
     filter_col: str | None = None,
     filter_value=None,
-    require_all: bool = False,
+    need_terms: Dict[str, int] | None = None,
     exclude: "Dict[str, List[str]] | None" = None,
     scope: "Tuple[int, int] | None" = None,
+    tiebreak: float | None = None,
 ):
-    """Batch fn scoring a batch of DOCS against every query.
+    """Batch fn scoring a batch of DOCS against every query's term weights.
 
     STRUCTURAL per-doc completeness: this single function tokenizes a batch
     of docs and scores their postings in place, so a document's (query, doc)
     sum can never be split across batches regardless of how Ray re-batches
     upstream data — no global groupby shuffle.
 
-    With ``local_k`` set, emits only each query's local top-k candidates
-    (ranked by (score_micros DESC, doc ASC) — the same total order as the
-    global ranking, so the global top-k is a prefix of the merged local
-    top-ks and the driver merge sees k·#batches rows, never the full
-    candidate set).  ``filter_col``/``filter_value`` restrict the CANDIDATE
-    set in-batch (scores still use full-corpus statistics — reference M14
-    WHERE-on-results semantics) before top-k selection.
+    A doc's weighted contributions fold by sum, or with ``tiebreak`` by
+    dismax's ``max + tb·(sum − max)``.  With ``local_k`` set, emits only each
+    query's local top-k candidates (``_local_topk``).  ``filter_col``/
+    ``filter_value`` and ``scope`` restrict the CANDIDATE set in-batch
+    (scores still use full-corpus statistics — reference M14
+    WHERE-on-results semantics); ``need_terms`` keeps only docs holding that
+    many distinct query terms (AND), and ``exclude`` drops docs holding any
+    of the query's excluded terms (NOT).
     """
-    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
-    weights = _query_weights(queries, df_map, n_docs)
-    # strict-AND needs the count of distinct terms AS ASKED (a corpus-absent
-    # term is unmatchable → the conjunctive result is empty, not relaxed)
-    need_terms = {qid: len(set(ts)) for qid, ts in queries.items()}
     k1, b = cfg.k1, cfg.b
     exclude = {q: sorted(set(ts)) for q, ts in (exclude or {}).items() if ts}
     all_terms = sorted(
@@ -192,6 +289,7 @@ def _make_score_docs(
         | {t for ts in exclude.values() for t in ts}
     )
     term_set = pa.array(all_terms, type=pa.string())
+    cols = ["query_id", id_col, "score"] + (["score_micros"] if local_k is not None else [])
 
     def score_docs(batch: pa.Table) -> pa.Table:
         if filter_col is not None:
@@ -221,7 +319,7 @@ def _make_score_docs(
                     sub = sub[~sub[id_col].isin(bad)]
                     if sub.empty:
                         continue
-            if require_all:
+            if need_terms is not None:
                 # conjunctive (AND) semantics: a doc qualifies only with ALL
                 # the query's distinct terms present.  (doc, term) rows are
                 # unique, so the per-doc row count IS the distinct-term
@@ -235,35 +333,31 @@ def _make_score_docs(
             tf = sub["tf"].to_numpy(dtype=np.float64)
             dl = sub["dl"].to_numpy(dtype=np.float64)
             contrib = bm25_term_score(tf, dl, 1.0, avgdl, k1, b) * iw
-            g = (
-                pd.DataFrame({id_col: sub[id_col].to_numpy(), "contrib": contrib})
-                .groupby(id_col, sort=True)["contrib"]
-                .sum()
-                .reset_index()
-            )
-            g = g.rename(columns={"contrib": "score"})
-            if local_k is not None:
-                g["score_micros"] = score_micros(g["score"].to_numpy())
-                g = g.sort_values(
-                    ["score_micros", id_col],
-                    ascending=[False, True],
-                    kind="mergesort",
-                ).head(local_k)
-            g.insert(0, "query_id", qid)
-            frames.append(g)
-        cols = {
-            "query_id": pa.array([], type=pa.string()),
-            id_col: pa.array([], type=batch.schema.field(id_col).type),
-            "score": pa.array([], type=pa.float64()),
-        }
-        if local_k is not None:
-            cols["score_micros"] = pa.array([], type=pa.int64())
-        if not frames:
-            return pa.table(cols)
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out[list(cols)], preserve_index=False)
+            grp = pd.DataFrame({id_col: sub[id_col].to_numpy(), "c": contrib}).groupby(
+                id_col, sort=True)["c"]
+            if tiebreak is None:
+                s = grp.sum()
+                score = s.to_numpy()
+            else:
+                s = grp.agg(["max", "sum"])
+                score = s["max"].to_numpy() + tiebreak * (s["sum"].to_numpy() - s["max"].to_numpy())
+            frames.append(_local_topk(qid, s.index.to_numpy(), score, local_k, id_col))
+        return _batch_table(frames, batch, id_col, cols)
 
     return score_docs
+
+
+def _or_topk(
+    docs_ds, weights, stats, k, cfg, id_col, text_col, offset: int = 0, **opts
+) -> pd.DataFrame:
+    """Exact top-k of the OR scorer: local top-(offset+k) per batch, then
+    the one merge."""
+    if not weights:
+        return _empty_topk(id_col)
+    score_docs = _make_score_docs(
+        weights, cfg, float(stats["avgdl"]), id_col, text_col, local_k=offset + k, **opts
+    )
+    return _rank_topk_frames(docs_ds, score_docs, k, id_col, offset=offset)
 
 
 def brute_force_scores(
@@ -283,25 +377,53 @@ def brute_force_scores(
     stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats)
     if int(stats["N"]) == 0:
         return pd.DataFrame({"query_id": [], id_col: [], "score": []})
-    score_docs = _make_score_docs(queries, cfg, stats, df_map, id_col, text_col)
+    weights = _query_weights(queries, df_map, int(stats["N"]))
+    score_docs = _make_score_docs(weights, cfg, float(stats["avgdl"]), id_col, text_col)
     return docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
 
 
-def _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats):
-    """({N, total_dl, avgdl}, df per query term), tokenizing the corpus only
-    once when ``stats`` isn't supplied."""
-    all_terms = sorted({t for ts in queries.values() for t in ts})
-    if not all_terms:
-        return (stats or {"N": 0, "total_dl": 0, "avgdl": 0.0}), {}
-    if stats is None:
-        # single tokenization pass computes BOTH global stats and query-term
-        # dfs (separate collection_stats + df passes would tokenize the
-        # corpus twice — tokenization is the dominant cost)
-        return _stats_and_term_dfs(docs_ds, all_terms, cfg, id_col=id_col, text_col=text_col)
-    qp = query_postings(docs_ds, all_terms, cfg, id_col=id_col, text_col=text_col)
-    # df via in-batch partials combined driver-side (the term set is
-    # query-small; a groupby shuffle here is pure overhead)
-    return stats, term_dfs(qp)
+def brute_force_topk(
+    docs_ds: "ray.data.Dataset",
+    queries: Dict[str, List[str]],
+    k: int = 10,
+    cfg: BM25Config = BM25Config(),
+    id_col: str = "doc_id",
+    text_col: str = "text",
+    stats: Dict[str, float] | None = None,
+    filter_col: str | None = None,
+    filter_value=None,
+    require_all: bool = False,
+    exclude: "Dict[str, List[str]] | None" = None,
+    scope: "Tuple[int, int] | None" = None,
+    offset: int = 0,
+) -> pd.DataFrame:
+    """EXACT top-k per query: (query_id, <id_col>, score_micros, rank),
+    ranked by (score_micros DESC, doc ASC) — deterministic across engines.
+
+    ``offset`` pages past the first ``offset`` ranks (OFFSET/LIMIT — the
+    Lucene ``searchAfter`` result shape): rows offset+1 .. offset+k with
+    their GLOBAL rank values.  Map tasks then emit local top-(offset+k)
+    candidates — deep pages cost O(offset+k) per batch, stated explicitly.
+
+    Distributed top-k: every map task emits only its local top-k per query
+    (same total order as the global rank, so the global answer is a prefix
+    of the union); the driver merges k·#batches candidate rows — NEVER the
+    full (query, doc) score table.  ``filter_col``/``filter_value`` restrict
+    candidates in-batch (M14 filtered search) while statistics stay
+    full-corpus.  ``require_all`` switches to conjunctive (AND) retrieval:
+    only docs containing every distinct query term rank.
+    """
+    stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats)
+    if int(stats["N"]) == 0 or not df_map:
+        return _empty_topk(id_col)
+    # strict-AND needs the count of distinct terms AS ASKED (a corpus-absent
+    # term is unmatchable → the conjunctive result is empty, not relaxed)
+    need = {qid: len(set(ts)) for qid, ts in queries.items()} if require_all else None
+    return _or_topk(
+        docs_ds, _query_weights(queries, df_map, int(stats["N"])), stats, k, cfg,
+        id_col, text_col, offset=int(offset), filter_col=filter_col,
+        filter_value=filter_value, need_terms=need, exclude=exclude, scope=scope,
+    )
 
 
 RM3_FB_DOCS = 10
@@ -347,19 +469,14 @@ def rm3_topk(
 
     from oboyu_ray.fixedpoint import micros as _micros
 
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "rm3_score": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
     stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, None)
     if int(stats["N"]) == 0 or not df_map:
-        return empty
-    fb = brute_force_topk(
-        docs_ds, queries, k=fb_docs, cfg=cfg, id_col=id_col, text_col=text_col,
-        stats=stats,
-    )
+        return _empty_topk(id_col, "rm3_score")
+    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
+    oweights = _query_weights(queries, df_map, n_docs)
+    fb = _or_topk(docs_ds, oweights, stats, fb_docs, cfg, id_col, text_col)
     if fb.empty:
-        return empty
+        return _empty_topk(id_col, "rm3_score")
 
     # feedback docs' postings via a bounded point-read
     fb_ids = sorted(set(int(v) for v in fb[id_col]))
@@ -405,13 +522,9 @@ def rm3_topk(
 
     all_exp = sorted({t for m in exp_terms.values() for t in m})
     exp_df = (
-        term_dfs(query_postings(docs_ds, all_exp, cfg, id_col=id_col, text_col=text_col))
-        if all_exp
-        else {}
+        _stats_and_dfs(docs_ds, _in(all_exp), cfg, id_col, text_col)[1] if all_exp else {}
     )
 
-    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
-    oweights = _query_weights(queries, df_map, n_docs)
     exp_idf = {t: idf(int(df), n_docs) for t, df in exp_df.items()}
     k1, b = cfg.k1, cfg.b
     alpha = np.int64(alpha_micros)
@@ -460,95 +573,103 @@ def rm3_topk(
             o_al = omicros.reindex(docs, fill_value=0).to_numpy(np.int64)
             e_al = e.reindex(docs, fill_value=0).to_numpy(np.int64)
             rm3 = o_al * alpha + e_al * one_minus
-            gdf = pd.DataFrame({id_col: docs.to_numpy(), "rm3_score": rm3})
-            gdf = gdf.sort_values(
-                ["rm3_score", id_col], ascending=[False, True], kind="mergesort"
-            ).head(k)
-            gdf.insert(0, "query_id", qid)
-            frames.append(gdf)
-        if not frames:
-            return pa.table(
-                {
-                    "query_id": pa.array([], type=pa.string()),
-                    id_col: pa.array([], type=pa.int64()),
-                    "rm3_score": pa.array([], type=pa.int64()),
-                }
-            )
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(
-            out[["query_id", id_col, "rm3_score"]], preserve_index=False
-        )
+            frames.append(_local_topk(qid, docs.to_numpy(), rm3, k, id_col, "rm3_score"))
+        return _batch_table(frames, batch, id_col, ["query_id", id_col, "rm3_score"])
 
-    pdf = docs_ds.map_batches(score_batch, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "rm3_score", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k].reset_index(drop=True)
+    out = _rank_topk_frames(docs_ds, score_batch, k, id_col, col="rm3_score")
     return out.astype({id_col: np.int64, "rm3_score": np.int64, "rank": np.int64})
 
 
-def brute_force_topk(
+# -------------------------------------------------------- the positional scorer
+
+def _positional_topk(
     docs_ds: "ray.data.Dataset",
-    queries: Dict[str, List[str]],
-    k: int = 10,
-    cfg: BM25Config = BM25Config(),
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    stats: Dict[str, float] | None = None,
-    filter_col: str | None = None,
-    filter_value=None,
-    require_all: bool = False,
-    exclude: "Dict[str, List[str]] | None" = None,
-    scope: "Tuple[int, int] | None" = None,
-    offset: int = 0,
+    items: "List[Tuple[str, List[str], object]]",
+    match,
+    k: int,
+    cfg: BM25Config,
+    id_col: str,
+    text_col: str,
+    stats: Dict[str, float] | None,
+    prep=None,
 ) -> pd.DataFrame:
-    """EXACT top-k per query: (query_id, <id_col>, score_micros, rank),
-    ranked by (score_micros DESC, doc ASC) — deterministic across engines.
+    """Exact top-k of the positional scorer behind phrase, ordered-span and
+    NEAR retrieval.
 
-    ``offset`` pages past the first ``offset`` ranks (OFFSET/LIMIT — the
-    Lucene ``searchAfter`` result shape): rows offset+1 .. offset+k with
-    their GLOBAL rank values.  Map tasks then emit local top-(offset+k)
-    candidates — deep pages cost O(offset+k) per batch, stated explicitly.
+    ``items`` lists (query_id, terms, spec).  A query with no terms, or with
+    a corpus-absent term, matches nothing.  Per batch, the docs' filtered
+    token streams flatten into ``ctx``: ``codes`` (each token's query-term
+    id, −1 for any other token), ``doc_of``, ``lens`` and ``tid`` (term →
+    id), plus what ``prep(ctx)`` adds once per batch; ``match(ctx, spec)``
+    returns the batch doc indices a query ranks.  Those score BM25 over the
+    query's terms (full-corpus statistics) from a per-doc Counter, then the
+    one local top-k and the one merge."""
+    tok = get_tokenizer(cfg)
+    items = [it for it in items if it[1]]
+    if not items:
+        return _empty_topk(id_col)
+    stats, df_map = _resolve_stats(
+        docs_ds, {q: ts for q, ts, _ in items}, cfg, id_col, text_col, stats)
+    if int(stats["N"]) == 0:
+        return _empty_topk(id_col)
+    # a query with any zero-df term cannot match anywhere
+    items = [it for it in items if all(df_map.get(t, 0) > 0 for t in it[1])]
+    if not items:
+        return _empty_topk(id_col)
+    avgdl = float(stats["avgdl"])
+    weights = _query_weights({q: ts for q, ts, _ in items}, df_map, int(stats["N"]))
+    k1, b = cfg.k1, cfg.b
+    tid = {t: i for i, t in enumerate(sorted({t for _, ts, _ in items for t in ts}))}
 
-    Distributed top-k: every map task emits only its local top-k per query
-    (same total order as the global rank, so the global answer is a prefix
-    of the union); the driver merges k·#batches candidate rows — NEVER the
-    full (query, doc) score table.  ``filter_col``/``filter_value`` restrict
-    candidates in-batch (M14 filtered search) while statistics stay
-    full-corpus.  ``require_all`` switches to conjunctive (AND) retrieval:
-    only docs containing every distinct query term rank.
-    """
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats)
-    if int(stats["N"]) == 0 or not df_map:
-        return empty
-    score_docs = _make_score_docs(
-        queries, cfg, stats, df_map, id_col, text_col,
-        local_k=int(offset) + k, filter_col=filter_col, filter_value=filter_value,
-        require_all=require_all, exclude=exclude, scope=scope,
-    )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True], kind="mergesort"
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[(pdf["rank"] > int(offset)) & (pdf["rank"] <= int(offset) + k)][
-        ["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
+    def score_docs(batch: pa.Table) -> pa.Table:
+        toks = [tok.tokenize(t or "") for t in batch.column(text_col).to_pylist()]
+        lens = np.array([len(ts) for ts in toks], dtype=np.int64)
+        flat: List[str] = [t for ts in toks for t in ts]
+        codes = np.fromiter((tid.get(t, -1) for t in flat), dtype=np.int64, count=len(flat))
+        doc_of = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
+        ctx = SimpleNamespace(codes=codes, doc_of=doc_of, lens=lens, tid=tid)
+        if prep is not None:
+            prep(ctx)
+        ids_np = batch.column(id_col).to_numpy(zero_copy_only=False)
+        counters: Dict[int, Counter] = {}
+        frames = []
+        for qid, _, spec in items:
+            hit_docs = match(ctx, spec)
+            if len(hit_docs) == 0:
+                continue
+            w = weights[qid]
+            scores = []
+            for di in hit_docs:
+                c = counters.get(di)
+                if c is None:
+                    c = counters[di] = Counter(toks[di])
+                dl = float(lens[di])
+                s = 0.0
+                for t, iw in w.items():
+                    tf = float(c[t])
+                    s += iw * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl)))
+                scores.append(s)
+            frames.append(_local_topk(qid, ids_np[hit_docs], scores, k, id_col))
+        return _batch_table(frames, batch, id_col, ["query_id", id_col, "score_micros"])
+
+    return _rank_topk_frames(docs_ds, score_docs, k, id_col)
 
 
-# ------------------------------------------------------------ phrase search
+def _phrase_docs(ctx, terms: List[str]) -> np.ndarray:
+    """Docs holding ``terms`` adjacently and in order: m shifted equality
+    masks over the code stream AND a same-doc guard."""
+    pid = [ctx.tid[t] for t in terms]
+    codes, doc_of = ctx.codes, ctx.doc_of
+    m, n = len(pid), len(codes)
+    if n < m:
+        return np.empty(0, dtype=np.int64)
+    match = codes[: n - m + 1] == pid[0]
+    for j in range(1, m):
+        match &= codes[j : n - m + 1 + j] == pid[j]
+    if m > 1:
+        match &= doc_of[: n - m + 1] == doc_of[m - 1 :]
+    return np.unique(doc_of[: n - m + 1][match])
+
 
 def phrase_topk(
     docs_ds: "ray.data.Dataset",
@@ -576,101 +697,9 @@ def phrase_topk(
     no per-position Python loop.  Scoring touches only matched docs.
     """
     tok = get_tokenizer(cfg)
-    queries: Dict[str, List[str]] = {p: tok.tokenize(p) for p in phrases}
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    live = {p: ts for p, ts in queries.items() if ts}
-    if not live:
-        return empty
-    stats, df_map = _resolve_stats(docs_ds, live, cfg, id_col, text_col, stats)
-    if int(stats["N"]) == 0:
-        return empty
-    # a phrase with any zero-df term cannot match anywhere
-    live = {p: ts for p, ts in live.items() if all(df_map.get(t, 0) > 0 for t in ts)}
-    if not live:
-        return empty
-    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
-    weights = _query_weights(live, df_map, n_docs)
-    k1, b = cfg.k1, cfg.b
-    all_terms = sorted({t for ts in live.values() for t in ts})
-    term_to_id = {t: i for i, t in enumerate(all_terms)}
-    phrase_ids = {p: np.array([term_to_id[t] for t in ts], dtype=np.int64)
-                  for p, ts in live.items()}
-
-    def score_docs(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        texts = batch.column(text_col).to_pylist()
-        toks = [tok.tokenize(t or "") for t in texts]
-        lens = np.array([len(ts) for ts in toks], dtype=np.int64)
-        flat: List[str] = [t for ts in toks for t in ts]
-        codes = np.fromiter(
-            (term_to_id.get(t, -1) for t in flat), dtype=np.int64, count=len(flat)
-        )
-        doc_of = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
-        ids_np = batch.column(id_col).to_numpy(zero_copy_only=False)
-        counters: Dict[int, Counter] = {}
-        frames = []
-        for p, pid in phrase_ids.items():
-            m = len(pid)
-            n = len(codes)
-            if n < m:
-                continue
-            match = codes[: n - m + 1] == pid[0]
-            for j in range(1, m):
-                match &= codes[j : n - m + 1 + j] == pid[j]
-            if m > 1:
-                match &= doc_of[: n - m + 1] == doc_of[m - 1 :]
-            hit_docs = np.unique(doc_of[: n - m + 1][match])
-            if len(hit_docs) == 0:
-                continue
-            w = weights[p]
-            rows_id = []
-            rows_score = []
-            for di in hit_docs:
-                c = counters.get(di)
-                if c is None:
-                    c = counters[di] = Counter(toks[di])
-                dl = float(lens[di])
-                s = 0.0
-                for t, iw in w.items():
-                    tf = float(c[t])
-                    s += iw * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl)))
-                rows_id.append(ids_np[di])
-                rows_score.append(s)
-            g = pd.DataFrame({id_col: rows_id, "score": rows_score})
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(
-                [  # local top-k in the global total order
-                    "score_micros", id_col
-                ],
-                ascending=[False, True], kind="mergesort",
-            ).head(k)
-            g.insert(0, "query_id", p)
-            frames.append(g[["query_id", id_col, "score_micros"]])
-        if not frames:
-            return pa.table(
-                {"query_id": pa.array([], type=pa.string()),
-                 id_col: pa.array([], type=batch.schema.field(id_col).type),
-                 "score_micros": pa.array([], type=pa.int64())}
-            )
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
+    queries = {p: tok.tokenize(p) for p in phrases}
+    items = [(p, ts, ts) for p, ts in queries.items()]
+    return _positional_topk(docs_ds, items, _phrase_docs, k, cfg, id_col, text_col, stats)
 
 
 def span_near_topk(
@@ -701,147 +730,73 @@ def span_near_topk(
     )
 
     tok = get_tokenizer(cfg)
-    queries: Dict[str, List[str]] = {p: tok.tokenize(p) for p in phrases}
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    live = {p: ts for p, ts in queries.items() if ts}
-    if not live:
-        return empty
-    stats, df_map = _resolve_stats(docs_ds, live, cfg, id_col, text_col, stats)
-    if int(stats["N"]) == 0:
-        return empty
-    live = {p: ts for p, ts in live.items() if all(df_map.get(t, 0) > 0 for t in ts)}
-    if not live:
-        return empty
-    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
-    weights = _query_weights(live, df_map, n_docs)
-    k1, b = cfg.k1, cfg.b
-    all_terms = sorted({t for ts in live.values() for t in ts})
-    term_to_id = {t: i for i, t in enumerate(all_terms)}
-    phrase_ids = {p: [term_to_id[t] for t in ts] for p, ts in live.items()}
+    queries = {p: tok.tokenize(p) for p in phrases}
     win = int(window)
 
-    def score_docs(batch: pa.Table) -> pa.Table:
-        from collections import Counter
+    def prep(ctx) -> None:
+        ctx.keys = pack_token_positions(ctx.codes, ctx.doc_of, ctx.lens, len(ctx.tid))
 
-        texts = batch.column(text_col).to_pylist()
-        toks = [tok.tokenize(t or "") for t in texts]
-        lens = np.array([len(ts) for ts in toks], dtype=np.int64)
-        flat: List[str] = [t for ts in toks for t in ts]
-        codes = np.fromiter(
-            (term_to_id.get(t, -1) for t in flat), dtype=np.int64, count=len(flat)
-        )
-        doc_of = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
-        keys_by_tid = pack_token_positions(codes, doc_of, lens, len(all_terms))
-        ids_np = batch.column(id_col).to_numpy(zero_copy_only=False)
-        counters: Dict[int, Counter] = {}
-        frames = []
-        for p, pid in phrase_ids.items():
-            hit_docs = ordered_span_docs([keys_by_tid[t] for t in pid], win, SPAN_PK)
-            if len(hit_docs) == 0:
-                continue
-            w = weights[p]
-            rows_id, rows_score = [], []
-            for di in hit_docs:
-                c = counters.get(di)
-                if c is None:
-                    c = counters[di] = Counter(toks[di])
-                dl = float(lens[di])
-                s = 0.0
-                for t, iw in w.items():
-                    tf = float(c[t])
-                    s += iw * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl)))
-                rows_id.append(ids_np[di])
-                rows_score.append(s)
-            g = pd.DataFrame({id_col: rows_id, "score": rows_score})
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(
-                ["score_micros", id_col], ascending=[False, True], kind="mergesort"
-            ).head(k)
-            g.insert(0, "query_id", p)
-            frames.append(g[["query_id", id_col, "score_micros"]])
-        if not frames:
-            return pa.table(
-                {"query_id": pa.array([], type=pa.string()),
-                 id_col: pa.array([], type=batch.schema.field(id_col).type),
-                 "score_micros": pa.array([], type=pa.int64())}
-            )
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def match(ctx, terms: List[str]) -> np.ndarray:
+        return ordered_span_docs([ctx.keys[ctx.tid[t]] for t in terms], win, SPAN_PK)
 
-    return _rank_topk_frames(docs_ds, score_docs, k, id_col)
+    items = [(p, ts, ts) for p, ts in queries.items()]
+    return _positional_topk(docs_ds, items, match, k, cfg, id_col, text_col, stats, prep)
 
 
-# ------------------------------------------------------------ prefix search
-
-def _stats_and_prefix_dfs(
+def near_topk(
     docs_ds: "ray.data.Dataset",
-    prefixes: Sequence[str],
-    cfg: BM25Config,
-    id_col: str,
-    text_col: str,
-):
-    """One tokenization pass → ({N, total_dl, avgdl}, df for every term
-    matching ANY prefix).  Same partial-combine shape as
-    ``_stats_and_term_dfs`` with a starts_with mask instead of is_in."""
-    pfx = sorted({p for p in prefixes if p})
+    pairs: "Sequence[Tuple[str, str, int]]",
+    k: int = 10,
+    cfg: BM25Config = BM25Config(),
+    id_col: str = "doc_id",
+    text_col: str = "text",
+    stats: Dict[str, float] | None = None,
+) -> pd.DataFrame:
+    """Proximity (NEAR) retrieval: rank documents where the two terms occur
+    within ``w`` tokens of each other (|pos_a − pos_b| ≤ w over the FILTERED
+    token stream, ANY order), scored by BM25 over both terms.
 
-    def partial(batch: pa.Table) -> pa.Table:
-        p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
-        total_dl = 0
-        if p.num_rows:
-            total_dl = int(pc.sum(p.column("tf")).as_py() or 0)
-        mask = None
-        for x in pfx:
-            m = pc.starts_with(p.column("term"), pattern=x)
-            mask = m if mask is None else pc.or_(mask, m)
-        q = p.filter(mask) if mask is not None else p.slice(0, 0)
-        g = (
-            q.group_by("term").aggregate([("tf", "count")])
-            if q.num_rows
-            else pa.table({"term": pa.array([], type=pa.string()),
-                           "tf_count": pa.array([], type=pa.int64())})
-        )
-        return pa.table(
-            {
-                "term": pa.concat_arrays([pa.array([None], type=pa.string()),
-                                          g.column("term").combine_chunks().cast(pa.string())]),
-                "df_partial": pa.concat_arrays(
-                    [pa.array([batch.num_rows], type=pa.int64()),
-                     g.column("tf_count").combine_chunks().cast(pa.int64())]
-                ),
-                "dl_partial": pa.concat_arrays(
-                    [pa.array([total_dl], type=pa.int64()),
-                     pa.nulls(g.num_rows, type=pa.int64())]
-                ),
-            }
-        )
+    ``pairs`` is a sequence of (term_a, term_b, w); query_id is rendered as
+    ``"a NEAR/w b"``.  Vectorized: per batch, both terms' occurrences pack
+    into sorted (doc, position) keys and the within-distance test is two
+    searchsorted sweeps — no per-occurrence Python loop.  PK = 2^40 keeps
+    cross-doc ranges disjoint for any real document length.
+    """
+    PK = np.int64(1) << 40
+    tok = get_tokenizer(cfg)
+    items = []
+    for a, b, w in pairs:
+        ta = tok.tokenize(a)
+        tb = tok.tokenize(b)
+        if len(ta) == 1 and len(tb) == 1:
+            items.append((f"{ta[0]} NEAR/{int(w)} {tb[0]}", [ta[0], tb[0]],
+                          (ta[0], tb[0], int(w))))
 
-    n_docs = 0
-    total_dl = 0
-    df_map: Dict[str, int] = {}
-    for b in docs_ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for t, d, dl in zip(
-            b.column("term").to_pylist(),
-            b.column("df_partial").to_pylist(),
-            b.column("dl_partial").to_pylist(),
-        ):
-            if t is None:
-                n_docs += int(d)
-                total_dl += int(dl or 0)
-            else:
-                df_map[t] = df_map.get(t, 0) + int(d)
-    stats = {
-        "N": n_docs,
-        "total_dl": total_dl,
-        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
-    }
-    return stats, df_map
+    def prep(ctx) -> None:
+        doc_starts = np.zeros(len(ctx.lens), dtype=np.int64)
+        if len(ctx.lens):
+            np.cumsum(ctx.lens[:-1], out=doc_starts[1:])
+        ctx.pos = np.arange(len(ctx.codes), dtype=np.int64) - np.repeat(doc_starts, ctx.lens)
 
+    def match(ctx, spec) -> np.ndarray:
+        a, b, w = spec
+        ma = ctx.codes == ctx.tid[a]
+        mb = ctx.codes == ctx.tid[b]
+        if not ma.any() or not mb.any():
+            return np.empty(0, dtype=np.int64)
+        A = ctx.doc_of[ma] * PK + ctx.pos[ma]
+        B = ctx.doc_of[mb] * PK + ctx.pos[mb]
+        lo = np.searchsorted(B, A - w)
+        hi = np.searchsorted(B, A + w + 1)
+        # self-NEAR: every occurrence matches ITSELF at distance 0, so
+        # require a second occurrence inside the window
+        hit = (hi - lo) > 1 if a == b else hi > lo
+        return np.unique(ctx.doc_of[ma][hit])
+
+    return _positional_topk(docs_ds, items, match, k, cfg, id_col, text_col, stats, prep)
+
+
+# ------------------------------------------- prefix / fuzzy / regex expansion
 
 def prefix_topk(
     docs_ds: "ray.data.Dataset",
@@ -856,249 +811,13 @@ def prefix_topk(
     OR over the expanded term set (idf per matched term, multiplicity 1) —
     the classic Lucene PrefixQuery → BooleanQuery rewrite.  Exact top-k:
     (query_id, id, score_micros, rank) like ``brute_force_topk``."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    stats, df_map = _stats_and_prefix_dfs(docs_ds, prefixes, cfg, id_col, text_col)
-    if int(stats["N"]) == 0 or not df_map:
-        return empty
-    queries = {
-        p: sorted(t for t in df_map if t.startswith(p)) for p in prefixes if p
-    }
-    queries = {p: ts for p, ts in queries.items() if ts}
-    if not queries:
-        return empty
-    score_docs = _make_score_docs(
-        queries, cfg, stats, df_map, id_col, text_col, local_k=k
-    )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
-
-
-# ------------------------------------------------------------ fuzzy search
-
-def lev_at_most(a: str, b: str, d: int) -> bool:
-    """True iff levenshtein(a, b) <= d.  Banded DP (band width 2d+1) with an
-    early abort when the whole band exceeds d — O(min(len)·d) per pair.
-    Plain Levenshtein (insert/delete/substitute, NO transposition), matching
-    DuckDB's ``levenshtein()`` so the SQL oracle reproduces the expansion."""
-    if a == b:
-        return True
-    la, lb = len(a), len(b)
-    if abs(la - lb) > d:
-        return False
-    if la > lb:  # iterate the shorter string's rows
-        a, b, la, lb = b, a, lb, la
-    big = d + 1
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        lo = max(1, i - d)
-        hi = min(lb, i + d)
-        cur = [big] * (lb + 1)
-        cur[lo - 1] = prev[lo - 1] + 1 if lo == 1 else big
-        ca = a[i - 1]
-        best = cur[lo - 1]
-        for j in range(lo, hi + 1):
-            c = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != b[j - 1]),
-            )
-            cur[j] = c
-            if c < best:
-                best = c
-        if best > d:
-            return False
-        prev = cur
-    return prev[lb] <= d
-
-
-def fuzzy_mask(
-    terms, q: str, d: int, lens: "np.ndarray | None" = None
-) -> np.ndarray:
-    """Boolean mask over ``terms`` where levenshtein(term, q) <= d.
-
-    d == 1 is EXACT and fully vectorized via the prefix+suffix
-    decomposition: with |len(t) − len(q)| ≤ 1, lev(t, q) ≤ 1 ⟺
-    common_prefix + common_suffix ≥ len(t) − 1 when lengths are equal
-    (≤1 substitution at the single uncovered position), or ≥ min(len)
-    when they differ by 1 (the shorter splits into a prefix+suffix of the
-    longer around one inserted char).  Terms group by length; each group
-    packs into an (n, L) codepoint matrix (utf-32) and the prefix/suffix
-    runs are two cumprod-sums — no per-term Python.  d ≥ 2 falls back to
-    the banded DP on length-band survivors (rare query shape; wide
-    expansions hit max_terms first anyway)."""
-    n = len(terms)
-    if lens is None:
-        lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=n)
-    mask = np.zeros(n, dtype=bool)
-    lq = len(q)
-    if lq == 0 or n == 0:
-        return mask
-    if d == 1:
-        qa = np.frombuffer(q.encode("utf-32-le"), dtype=np.uint32)
-        for L in (lq - 1, lq, lq + 1):
-            if L < 1:
-                continue
-            sel = np.flatnonzero(lens == L)
-            if not len(sel):
-                continue
-            blob = "".join([terms[i] for i in sel])
-            mat = np.frombuffer(blob.encode("utf-32-le"), dtype=np.uint32)
-            mat = mat.reshape(len(sel), L)
-            m = min(L, lq)
-            cp = (mat[:, :m] == qa[:m]).cumprod(axis=1).sum(axis=1)
-            cs = (mat[:, L - m:][:, ::-1] == qa[lq - m:][::-1]).cumprod(axis=1).sum(axis=1)
-            ok = (cp + cs) >= (L - 1 if L == lq else m)
-            mask[sel[ok]] = True
-        return mask
-    cand = np.flatnonzero(np.abs(lens - lq) <= d)
-    for ix in cand:
-        if lev_at_most(terms[ix], q, d):
-            mask[ix] = True
-    return mask
-
-
-class FuzzyVocab:
-    """Pre-packed vocabulary for repeated fuzzy expansions: terms sorted by
-    length into ONE flat codepoint array, so each query's per-length
-    matrices are zero-copy reshaped views — the join+encode packing cost
-    (~1-2 s at 4M terms) is paid once, per-query work is just the
-    vectorized compares (~10-40 ms at 4M terms)."""
-
-    def __init__(self, terms: "List[str]") -> None:
-        n = len(terms)
-        lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=n)
-        order = np.argsort(lens, kind="stable")
-        self.terms = terms
-        self.order = order
-        self.lens_sorted = lens[order]
-        blob = "".join([terms[i] for i in order])
-        self.flat = np.frombuffer(blob.encode("utf-32-le"), dtype=np.uint32)
-        self.flat_start = np.cumsum(self.lens_sorted) - self.lens_sorted
-
-    def candidates(self, q: str, d: int) -> np.ndarray:
-        """Original indices of terms with levenshtein(term, q) <= d (d=1
-        exact vectorized, d>=2 banded-DP fallback over the length band)."""
-        lq = len(q)
-        if lq == 0 or not len(self.order):
-            return np.zeros(0, dtype=np.int64)
-        if d == 1:
-            qa = np.frombuffer(q.encode("utf-32-le"), dtype=np.uint32)
-            hits = []
-            for L in (lq - 1, lq, lq + 1):
-                if L < 1:
-                    continue
-                rs = int(np.searchsorted(self.lens_sorted, L, side="left"))
-                re_ = int(np.searchsorted(self.lens_sorted, L, side="right"))
-                if rs == re_:
-                    continue
-                fs = int(self.flat_start[rs])
-                mat = self.flat[fs : fs + (re_ - rs) * L].reshape(re_ - rs, L)
-                m = min(L, lq)
-                cp = (mat[:, :m] == qa[:m]).cumprod(axis=1).sum(axis=1)
-                cs = (mat[:, L - m:][:, ::-1] == qa[lq - m:][::-1]).cumprod(axis=1).sum(axis=1)
-                ok = (cp + cs) >= (L - 1 if L == lq else m)
-                hits.append(self.order[rs:re_][ok])
-            return (
-                np.concatenate(hits).astype(np.int64)
-                if hits
-                else np.zeros(0, dtype=np.int64)
-            )
-        rs = int(np.searchsorted(self.lens_sorted, lq - d, side="left"))
-        re_ = int(np.searchsorted(self.lens_sorted, lq + d, side="right"))
-        band = self.order[rs:re_]
-        return np.array(
-            [int(i) for i in band if lev_at_most(self.terms[int(i)], q, d)],
-            dtype=np.int64,
-        )
-
-
-def _fuzzy_term_mask(terms, qspecs: "Sequence[Tuple[str, int]]"):
-    """Boolean numpy mask over ``terms`` (a python list) — True where a term
-    is within max_edits of ANY query spec (vectorized per spec)."""
-    lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=len(terms))
-    mask = np.zeros(len(terms), dtype=bool)
-    for q, d in qspecs:
-        mask |= fuzzy_mask(terms, q, int(d), lens=lens)
-    return mask
-
-
-def _stats_and_fuzzy_dfs(
-    docs_ds: "ray.data.Dataset",
-    qspecs: "Sequence[Tuple[str, int]]",
-    cfg: BM25Config,
-    id_col: str,
-    text_col: str,
-):
-    """One tokenization pass → ({N, total_dl, avgdl}, df for every term
-    within max_edits of ANY query spec).  Same partial-combine shape as
-    ``_stats_and_prefix_dfs`` with a levenshtein mask instead of
-    starts_with."""
-    specs = sorted({(q, int(d)) for q, d in qspecs if q})
-
-    def partial(batch: pa.Table) -> pa.Table:
-        p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
-        total_dl = 0
-        if p.num_rows:
-            total_dl = int(pc.sum(p.column("tf")).as_py() or 0)
-        g = (
-            p.group_by("term").aggregate([("tf", "count")])
-            if p.num_rows
-            else pa.table({"term": pa.array([], type=pa.string()),
-                           "tf_count": pa.array([], type=pa.int64())})
-        )
-        if g.num_rows:
-            terms = g.column("term").to_pylist()
-            g = g.filter(pa.array(_fuzzy_term_mask(terms, specs)))
-        return pa.table(
-            {
-                "term": pa.concat_arrays([pa.array([None], type=pa.string()),
-                                          g.column("term").combine_chunks().cast(pa.string())]),
-                "df_partial": pa.concat_arrays(
-                    [pa.array([batch.num_rows], type=pa.int64()),
-                     g.column("tf_count").combine_chunks().cast(pa.int64())]
-                ),
-                "dl_partial": pa.concat_arrays(
-                    [pa.array([total_dl], type=pa.int64()),
-                     pa.nulls(g.num_rows, type=pa.int64())]
-                ),
-            }
-        )
-
-    n_docs = 0
-    total_dl = 0
-    df_map: Dict[str, int] = {}
-    for b in docs_ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for t, d, dl in zip(
-            b.column("term").to_pylist(),
-            b.column("df_partial").to_pylist(),
-            b.column("dl_partial").to_pylist(),
-        ):
-            if t is None:
-                n_docs += int(d)
-                total_dl += int(dl or 0)
-            else:
-                df_map[t] = df_map.get(t, 0) + int(d)
-    stats = {
-        "N": n_docs,
-        "total_dl": total_dl,
-        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
-    }
-    return stats, df_map
+    pfx = sorted({p for p in prefixes if p})
+    if not pfx:
+        return _empty_topk(id_col)
+    stats, df_map = _stats_and_dfs(docs_ds, _any(pc.starts_with, pfx), cfg, id_col, text_col)
+    qmap = {p: sorted(t for t in df_map if t.startswith(p)) for p in prefixes if p}
+    weights = _query_weights(qmap, df_map, int(stats["N"]))
+    return _or_topk(docs_ds, weights, stats, k, cfg, id_col, text_col)
 
 
 def fuzzy_topk(
@@ -1118,129 +837,17 @@ def fuzzy_topk(
     bm25_indexer.py:300-340, over the expanded term set).  query_id renders
     as ``"term~d"`` (Lucene syntax).  Exact top-k: (query_id, id,
     score_micros, rank) like ``brute_force_topk``."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
     specs = [(q.strip().lower(), int(d)) for q, d in queries if q and q.strip()]
     if not specs:
-        return empty
-    stats, df_map = _stats_and_fuzzy_dfs(docs_ds, specs, cfg, id_col, text_col)
-    if int(stats["N"]) == 0 or not df_map:
-        return empty
+        return _empty_topk(id_col)
+    stats, df_map = _stats_and_dfs(
+        docs_ds, lambda col: pa.array(_fuzzy_term_mask(col.to_pylist(), specs)),
+        cfg, id_col, text_col,
+    )
     vocab = sorted(df_map)
-    qmap = {
-        f"{q}~{d}": [t for t in vocab if lev_at_most(t, q, d)] for q, d in specs
-    }
-    qmap = {qid: ts for qid, ts in qmap.items() if ts}
-    if not qmap:
-        return empty
-    score_docs = _make_score_docs(
-        qmap, cfg, stats, df_map, id_col, text_col, local_k=k
-    )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
-
-
-# --------------------------------------------------- regex / wildcard search
-
-def wildcard_to_regex(pattern: str) -> str:
-    """Lucene WildcardQuery → regex: ``*`` matches any run (incl. empty),
-    ``?`` exactly one codepoint; everything else is literal.  The output is
-    RE2-safe (no backrefs / lookaround), so pyarrow and DuckDB agree."""
-    out = []
-    for ch in pattern:
-        if ch == "*":
-            out.append(".*")
-        elif ch == "?":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return "".join(out)
-
-
-def _anchored(pattern: str) -> str:
-    """Full-term match semantics (Lucene RegexpQuery anchors implicitly)."""
-    return f"^(?:{pattern})$"
-
-
-def _stats_and_regex_dfs(
-    docs_ds: "ray.data.Dataset",
-    patterns: Sequence[str],
-    cfg: BM25Config,
-    id_col: str,
-    text_col: str,
-):
-    """One tokenization pass → ({N, total_dl, avgdl}, df for every term
-    fully matching ANY pattern).  Same partial-combine shape as
-    ``_stats_and_prefix_dfs`` with an RE2 full-match mask — pyarrow's
-    match_substring_regex and DuckDB's regexp_full_match are both RE2, so
-    the oracle expansion is engine-identical."""
-    pats = sorted({p for p in patterns if p})
-
-    def partial(batch: pa.Table) -> pa.Table:
-        p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
-        total_dl = 0
-        if p.num_rows:
-            total_dl = int(pc.sum(p.column("tf")).as_py() or 0)
-        mask = None
-        for x in pats:
-            m = pc.match_substring_regex(p.column("term"), pattern=_anchored(x))
-            mask = m if mask is None else pc.or_(mask, m)
-        q = p.filter(mask) if mask is not None else p.slice(0, 0)
-        g = (
-            q.group_by("term").aggregate([("tf", "count")])
-            if q.num_rows
-            else pa.table({"term": pa.array([], type=pa.string()),
-                           "tf_count": pa.array([], type=pa.int64())})
-        )
-        return pa.table(
-            {
-                "term": pa.concat_arrays([pa.array([None], type=pa.string()),
-                                          g.column("term").combine_chunks().cast(pa.string())]),
-                "df_partial": pa.concat_arrays(
-                    [pa.array([batch.num_rows], type=pa.int64()),
-                     g.column("tf_count").combine_chunks().cast(pa.int64())]
-                ),
-                "dl_partial": pa.concat_arrays(
-                    [pa.array([total_dl], type=pa.int64()),
-                     pa.nulls(g.num_rows, type=pa.int64())]
-                ),
-            }
-        )
-
-    n_docs = 0
-    total_dl = 0
-    df_map: Dict[str, int] = {}
-    for b in docs_ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for t, d, dl in zip(
-            b.column("term").to_pylist(),
-            b.column("df_partial").to_pylist(),
-            b.column("dl_partial").to_pylist(),
-        ):
-            if t is None:
-                n_docs += int(d)
-                total_dl += int(dl or 0)
-            else:
-                df_map[t] = df_map.get(t, 0) + int(d)
-    stats = {
-        "N": n_docs,
-        "total_dl": total_dl,
-        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
-    }
-    return stats, df_map
+    qmap = {f"{q}~{d}": [t for t in vocab if lev_at_most(t, q, d)] for q, d in specs}
+    weights = _query_weights(qmap, df_map, int(stats["N"]))
+    return _or_topk(docs_ds, weights, stats, k, cfg, id_col, text_col)
 
 
 def regex_topk(
@@ -1259,44 +866,25 @@ def regex_topk(
     (reference has no pattern matching; scoring follows its BM25 scorer,
     bm25_indexer.py:300-340, over the expanded term set).  query_id is the
     pattern as given.  Exact top-k: (query_id, id, score_micros, rank) like
-    ``brute_force_topk``."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
+    ``brute_force_topk``.  pyarrow's match_substring_regex and DuckDB's
+    regexp_full_match are both RE2, so the oracle expansion is
+    engine-identical."""
     raw = [p for p in patterns if p]
     if not raw:
-        return empty
-    regexes = {p: (wildcard_to_regex(p) if wildcard else p) for p in raw}
-    stats, df_map = _stats_and_regex_dfs(
-        docs_ds, list(regexes.values()), cfg, id_col, text_col
+        return _empty_topk(id_col)
+    regexes = {p: _anchored(wildcard_to_regex(p) if wildcard else p) for p in raw}
+    stats, df_map = _stats_and_dfs(
+        docs_ds, _any(pc.match_substring_regex, sorted(set(regexes.values()))),
+        cfg, id_col, text_col,
     )
-    if int(stats["N"]) == 0 or not df_map:
-        return empty
     vocab = pa.array(sorted(df_map), type=pa.string())
-    qmap: Dict[str, List[str]] = {}
-    for p, rx in regexes.items():
-        m = pc.match_substring_regex(vocab, pattern=_anchored(rx))
-        ts = [t for t, ok in zip(vocab.to_pylist(), m.to_pylist()) if ok]
-        if ts:
-            qmap[p] = ts
-    if not qmap:
-        return empty
-    score_docs = _make_score_docs(
-        qmap, cfg, stats, df_map, id_col, text_col, local_k=k
-    )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
+    qmap = {
+        p: [t for t, ok in zip(vocab.to_pylist(), pc.match_substring_regex(
+            vocab, pattern=rx).to_pylist()) if ok]
+        for p, rx in regexes.items()
+    }
+    weights = _query_weights(qmap, df_map, int(stats["N"]))
+    return _or_topk(docs_ds, weights, stats, k, cfg, id_col, text_col)
 
 
 # ---------------------------------------------------------- more-like-this
@@ -1323,13 +911,9 @@ def mlt_topk(
     id, score_micros, rank) like ``brute_force_topk``.  Two passes:
     source-doc postings (a filtered scan), then stats+df for the union of
     source terms."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
     src = sorted({int(x) for x in doc_ids})
     if not src or k <= 0 or n_terms <= 0:
-        return empty
+        return _empty_topk(id_col)
     src_arr = pa.array(src, type=pa.int64())
 
     def src_postings(batch: pa.Table) -> pa.Table:
@@ -1338,13 +922,11 @@ def mlt_topk(
 
     srcp = docs_ds.map_batches(src_postings, batch_format="pyarrow").to_pandas()
     if srcp.empty:
-        return empty
-    stats, df_map = _stats_and_term_dfs(
-        docs_ds, srcp["term"].unique().tolist(), cfg, id_col, text_col
-    )
+        return _empty_topk(id_col)
+    stats, df_map = _stats_and_dfs(docs_ds, _in(srcp["term"].unique()), cfg, id_col, text_col)
     n = int(stats["N"])
     if n == 0:
-        return empty
+        return _empty_topk(id_col)
     dfv = srcp["term"].map(df_map).fillna(0).to_numpy(dtype=np.float64)
     # literal `ln(1 + ...)` (not log1p) — mirrors the DuckDB oracle expression
     selw = np.where(dfv > 0, np.log(1.0 + (n - dfv + 0.5) / (dfv + 0.5)), 0.0)
@@ -1352,7 +934,7 @@ def mlt_topk(
         sel_micros=score_micros(srcp["tf"].to_numpy(dtype=np.float64) * selw)
     )[dfv >= min_df]
     if sel.empty:
-        return empty
+        return _empty_topk(id_col)
     sel = sel.sort_values(
         [id_col, "sel_micros", "term"], ascending=[True, False, True],
         kind="mergesort",
@@ -1365,115 +947,13 @@ def mlt_topk(
     # local_k = k+1: the source doc may rank anywhere in its own result —
     # dropped driver-side, so each batch must surface one spare candidate
     score_docs = _make_score_docs(
-        qmap, cfg, stats, df_map, id_col, text_col, local_k=k + 1
+        _query_weights(qmap, df_map, n), cfg, float(stats["avgdl"]), id_col, text_col,
+        local_k=k + 1,
     )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    src_of = {f"doc:{d}": d for d in src}
-    pdf = pdf[pdf[id_col] != pdf["query_id"].map(src_of)]
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
+    return _rank_topk_frames(docs_ds, score_docs, k, id_col, drop={f"doc:{d}": d for d in src})
 
 
 # ----------------------------------------------------------- boolean queries
-
-def parse_bool_query(s: str):
-    """Parse ``(a AND b) OR c NOT d`` into a nested-list AST:
-    ``["or"|"and", x, y, ...]`` / ``["not", x]`` / term string.  Precedence
-    NOT > AND > OR; ``a NOT b`` is sugar for ``a AND (NOT b)`` (the Lucene
-    query-parser convention); parens group.  Terms are lowercased single
-    tokens (the caller's tokenizer normalization is NOT applied — boolean
-    queries name index terms directly)."""
-    import re as _re
-
-    toks = _re.findall(r"\(|\)|[^\s()]+", s)
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def eat(t=None):
-        nonlocal pos
-        if pos >= len(toks) or (t is not None and toks[pos] != t):
-            raise ValueError(f"bool query parse error at token {pos}: {s!r}")
-        pos += 1
-        return toks[pos - 1]
-
-    def atom():
-        if peek() == "(":
-            eat("(")
-            node = expr_or()
-            eat(")")
-            return node
-        if peek() in (")", "AND", "OR", "NOT", None):
-            raise ValueError(f"bool query parse error: unexpected {peek()!r} in {s!r}")
-        return eat().lower()
-
-    def expr_not():
-        if peek() == "NOT":
-            eat("NOT")
-            return ["not", expr_not()]
-        return atom()
-
-    def expr_and():
-        node = expr_not()
-        while peek() in ("AND", "NOT"):
-            if peek() == "NOT":  # infix NOT: a NOT b == a AND (NOT b)
-                eat("NOT")
-                node = ["and", node, ["not", expr_not()]]
-            else:
-                eat("AND")
-                node = ["and", node, expr_not()]
-        return node
-
-    def expr_or():
-        node = expr_and()
-        while peek() == "OR":
-            eat("OR")
-            node = ["or", node, expr_and()]
-        return node
-
-    out = expr_or()
-    if pos != len(toks):
-        raise ValueError(f"bool query parse error: trailing tokens in {s!r}")
-    return out
-
-
-def bool_leaves(tree, negated: bool = False):
-    """(positive_terms, all_terms): positive = leaves under an EVEN number
-    of NOTs (they score); the rest are filter-only (Lucene MUST_NOT)."""
-    if isinstance(tree, str):
-        return (set() if negated else {tree}), {tree}
-    op = tree[0]
-    if op == "not":
-        return bool_leaves(tree[1], not negated)
-    pos: set = set()
-    al: set = set()
-    for sub in tree[1:]:
-        p, a = bool_leaves(sub, negated)
-        pos |= p
-        al |= a
-    return pos, al
-
-
-def render_bool_query(tree) -> str:
-    """Canonical string form of an AST (used as query_id)."""
-    if isinstance(tree, str):
-        return tree
-    op = tree[0]
-    if op == "not":
-        return f"NOT {render_bool_query(tree[1])}"
-    joiner = f" {op.upper()} "
-    return "(" + joiner.join(render_bool_query(x) for x in tree[1:]) + ")"
-
 
 def bool_topk(
     docs_ds: "ray.data.Dataset",
@@ -1491,22 +971,18 @@ def bool_topk(
     terms present (negated clauses filter, never score), accumulated in
     sorted-term order on both tiers.  query_id is the canonical rendering.
     Exact top-k: (query_id, id, score_micros, rank)."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
     trees = {}
     for q in queries:
         t = parse_bool_query(q) if isinstance(q, str) else q
         trees[render_bool_query(t)] = t
     if not trees:
-        return empty
+        return _empty_topk(id_col)
     leafsets = {qid: bool_leaves(t) for qid, t in trees.items()}
     all_terms = sorted({t for _, a in leafsets.values() for t in a})
-    stats, df_map = _stats_and_term_dfs(docs_ds, all_terms, cfg, id_col, text_col)
+    stats, df_map = _stats_and_dfs(docs_ds, _in(all_terms), cfg, id_col, text_col)
     n, avgdl = int(stats["N"]), float(stats["avgdl"])
     if n == 0:
-        return empty
+        return _empty_topk(id_col)
     idf_map = {t: idf(int(df_map.get(t, 0)), n) for t in all_terms}
     term_set = pa.array(all_terms, type=pa.string())
     k1, b = cfg.k1, cfg.b
@@ -1515,6 +991,7 @@ def bool_topk(
         p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
         pdf = p.filter(pc.is_in(p.column("term"), value_set=term_set)).to_pandas()
         frames = []
+        by_term = {}
         if not pdf.empty:
             pdf["tfnorm"] = bm25_term_score(
                 pdf["tf"].to_numpy(dtype=np.float64),
@@ -1523,7 +1000,7 @@ def bool_topk(
             by_term = {t: g for t, g in pdf.groupby("term", sort=False)}
         for qid, tree in trees.items():
             pos_terms, qleaves = leafsets[qid]
-            pos_in = [t for t in sorted(pos_terms) if t in (by_term if not pdf.empty else {})]
+            pos_in = [t for t in sorted(pos_terms) if t in by_term]
             if not pos_in:
                 continue
             cand = np.unique(np.concatenate(
@@ -1559,53 +1036,13 @@ def bool_topk(
                     .to_numpy()
                 )
                 scores += idf_map[t] * np.nan_to_num(v, nan=0.0)
-            g = pd.DataFrame({id_col: sel, "score": scores})
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(
-                ["score_micros", id_col], ascending=[False, True],
-                kind="mergesort",
-            ).head(k)
-            g.insert(0, "query_id", qid)
-            frames.append(g)
-        cols = {
-            "query_id": pa.array([], type=pa.string()),
-            id_col: pa.array([], type=batch.schema.field(id_col).type),
-            "score": pa.array([], type=pa.float64()),
-            "score_micros": pa.array([], type=pa.int64()),
-        }
-        if not frames:
-            return pa.table(cols)
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out[list(cols)], preserve_index=False)
+            frames.append(_local_topk(qid, sel, scores, k, id_col))
+        return _batch_table(frames, batch, id_col, ["query_id", id_col, "score", "score_micros"])
 
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
+    return _rank_topk_frames(docs_ds, score_docs, k, id_col)
 
 
 # ------------------------------------------------------------ synonym search
-
-def synonym_groups(
-    terms: Sequence[str], synonyms: Dict[str, Sequence[str]]
-) -> "List[List[str]]":
-    """Per query-token synonym group: ``[t] + synonyms[t]`` (one-directional
-    map form, duplicates dropped, member order sorted).  A token without an
-    entry is a singleton group — plain term scoring."""
-    out = []
-    for t in terms:
-        g = sorted({t, *synonyms.get(t, ())})
-        out.append(g)
-    return out
-
 
 def synonym_topk(
     docs_ds: "ray.data.Dataset",
@@ -1624,19 +1061,15 @@ def synonym_topk(
     docFreq=max convention).  Duplicate query tokens multiply the group
     weight (reference per-occurrence summing).  Exact top-k: (query_id,
     id, score_micros, rank) like ``brute_force_topk``."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
     tokq = tokenize_queries(list(queries), cfg)
     qgroups = {q: synonym_groups(ts, synonyms) for q, ts in tokq.items() if ts}
     if not qgroups:
-        return empty
+        return _empty_topk(id_col)
     all_terms = sorted({t for gs in qgroups.values() for g in gs for t in g})
-    stats, df_map = _stats_and_term_dfs(docs_ds, all_terms, cfg, id_col, text_col)
+    stats, df_map = _stats_and_dfs(docs_ds, _in(all_terms), cfg, id_col, text_col)
     n, avgdl = int(stats["N"]), float(stats["avgdl"])
     if n == 0:
-        return empty
+        return _empty_topk(id_col)
     # per query: fold duplicate groups into (group-key → weight) with
     # multiplicity; group weight = idf(max member df)
     qweights: Dict[str, Dict[tuple, float]] = {}
@@ -1651,7 +1084,7 @@ def synonym_topk(
         if w:
             qweights[q] = w
     if not qweights:
-        return empty
+        return _empty_topk(id_col)
     term_set = pa.array(all_terms, type=pa.string())
     k1, b = cfg.k1, cfg.b
 
@@ -1660,7 +1093,6 @@ def synonym_topk(
         pdf = p.filter(pc.is_in(p.column("term"), value_set=term_set)).to_pandas()
         frames = []
         for qid, w in qweights.items():
-            doc_scores: Dict[int, float] = {}
             acc = None
             for g, wg in w.items():
                 sub = pdf[pdf["term"].isin(g)]
@@ -1678,125 +1110,13 @@ def synonym_topk(
                 acc = s if acc is None else acc.add(s, fill_value=0.0)
             if acc is None or acc.empty:
                 continue
-            g = acc.reset_index()
-            g.columns = [id_col, "score"]
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(
-                ["score_micros", id_col], ascending=[False, True],
-                kind="mergesort",
-            ).head(k)
-            g.insert(0, "query_id", qid)
-            frames.append(g)
-        cols = {
-            "query_id": pa.array([], type=pa.string()),
-            id_col: pa.array([], type=batch.schema.field(id_col).type),
-            "score": pa.array([], type=pa.float64()),
-            "score_micros": pa.array([], type=pa.int64()),
-        }
-        if not frames:
-            return pa.table(cols)
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out[list(cols)], preserve_index=False)
-
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
-
-
-# ---------------------------------------------------- dismax / boosted terms
-
-def _rank_topk_frames(
-    docs_ds: "ray.data.Dataset", score_docs, k: int, id_col: str
-) -> pd.DataFrame:
-    """Shared driver merge for brute scorers emitting (query_id, id, score,
-    score_micros) per-batch local top-k rows: global (score_micros DESC,
-    id ASC) rank, first k per query."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out
-
-
-def _weighted_topk(
-    docs_ds: "ray.data.Dataset",
-    weights: Dict[str, Dict[str, float]],
-    avgdl: float,
-    cfg: BM25Config,
-    k: int,
-    id_col: str,
-    text_col: str,
-    combine,
-) -> pd.DataFrame:
-    """Shared scaffold for weighted-contribution brute scorers (dismax /
-    boosted): per batch, filter postings to the query terms, compute
-    weighted single-term contributions, fold them per doc with ``combine``
-    (a callable (ids, contribs) → DataFrame[id_col, score]), emit local
-    top-k in the global total order, driver-merge via
-    ``_rank_topk_frames``."""
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    if not weights:
-        return empty
-    term_set = pa.array(
-        sorted({t for w in weights.values() for t in w}), type=pa.string()
-    )
-    k1, b = cfg.k1, cfg.b
-
-    def score_docs(batch: pa.Table) -> pa.Table:
-        p = postings_batch(batch, cfg, id_col=id_col, text_col=text_col)
-        pdf = p.filter(pc.is_in(p.column("term"), value_set=term_set)).to_pandas()
-        frames = []
-        for qid, w in weights.items():
-            sub = pdf[pdf["term"].isin(w.keys())]
-            if sub.empty:
-                continue
-            iw = sub["term"].map(w).to_numpy(dtype=np.float64)
-            contrib = iw * bm25_term_score(
-                sub["tf"].to_numpy(dtype=np.float64),
-                sub["dl"].to_numpy(dtype=np.float64), 1.0, avgdl, k1, b,
-            )
-            g = combine(sub[id_col].to_numpy(), contrib)
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(
-                ["score_micros", id_col], ascending=[False, True], kind="mergesort"
-            ).head(k)
-            g.insert(0, "query_id", qid)
-            frames.append(g)
-        cols = {
-            "query_id": pa.array([], type=pa.string()),
-            id_col: pa.array([], type=batch.schema.field(id_col).type),
-            "score_micros": pa.array([], type=pa.int64()),
-        }
-        if not frames:
-            return pa.table(cols)
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out[list(cols)], preserve_index=False)
+            frames.append(_local_topk(qid, acc.index.to_numpy(), acc.to_numpy(), k, id_col))
+        return _batch_table(frames, batch, id_col, ["query_id", id_col, "score", "score_micros"])
 
     return _rank_topk_frames(docs_ds, score_docs, k, id_col)
 
+
+# ---------------------------------------------------- dismax / boosted terms
 
 def dismax_topk(
     docs_ds: "ray.data.Dataset",
@@ -1815,22 +1135,10 @@ def dismax_topk(
     duplicated token is the same clause).  Candidates/statistics identical
     to ``brute_force_topk``; exact top-k by (score_micros DESC, id ASC)."""
     tokq = {q: sorted(set(ts)) for q, ts in tokenize_queries(list(queries), cfg).items() if ts}
-    all_terms = sorted({t for ts in tokq.values() for t in ts})
-    stats, df_map = _stats_and_term_dfs(docs_ds, all_terms, cfg, id_col, text_col)
-    n, avgdl = int(stats["N"]), float(stats["avgdl"])
+    stats, df_map = _resolve_stats(docs_ds, tokq, cfg, id_col, text_col, None)
+    n = int(stats["N"])
     weights = _query_weights(tokq, df_map, n) if n else {}
-    tb = float(tiebreak)
-
-    def combine(ids: np.ndarray, contrib: np.ndarray) -> pd.DataFrame:
-        g = (
-            pd.DataFrame({id_col: ids, "c": contrib})
-            .groupby(id_col, sort=True)["c"]
-            .agg(["max", "sum"])
-        )
-        score = g["max"].to_numpy() + tb * (g["sum"].to_numpy() - g["max"].to_numpy())
-        return pd.DataFrame({id_col: g.index.to_numpy(), "score": score})
-
-    return _weighted_topk(docs_ds, weights, avgdl, cfg, k, id_col, text_col, combine)
+    return _or_topk(docs_ds, weights, stats, k, cfg, id_col, text_col, tiebreak=float(tiebreak))
 
 
 def boosted_topk(
@@ -1848,9 +1156,8 @@ def boosted_topk(
     summing as the plain scorer, so ``boosts={}`` ≡ ``brute_force_topk``).
     Exact top-k by (score_micros DESC, id ASC)."""
     tokq = {q: ts for q, ts in tokenize_queries(list(queries), cfg).items() if ts}
-    all_terms = sorted({t for ts in tokq.values() for t in ts})
-    stats, df_map = _stats_and_term_dfs(docs_ds, all_terms, cfg, id_col, text_col)
-    n, avgdl = int(stats["N"]), float(stats["avgdl"])
+    stats, df_map = _resolve_stats(docs_ds, tokq, cfg, id_col, text_col, None)
+    n = int(stats["N"])
     weights = _query_weights(tokq, df_map, n) if n else {}
     # scale each term weight by its boost AFTER multiplicity folding —
     # boost applies per clause, multiplicity already multiplied the idf.
@@ -1865,18 +1172,7 @@ def boosted_topk(
         for qid, w in weights.items()
     }
     weights = {qid: w for qid, w in weights.items() if w}
-
-    def combine(ids: np.ndarray, contrib: np.ndarray) -> pd.DataFrame:
-        g = (
-            pd.DataFrame({id_col: ids, "c": contrib})
-            .groupby(id_col, sort=True)["c"]
-            .sum()
-            .reset_index()
-        )
-        g.columns = [id_col, "score"]
-        return g
-
-    return _weighted_topk(docs_ds, weights, avgdl, cfg, k, id_col, text_col, combine)
+    return _or_topk(docs_ds, weights, stats, k, cfg, id_col, text_col)
 
 
 # ------------------------------------------------------------ faceted search
@@ -1945,133 +1241,3 @@ def facet_counts(
         facet_col: [k[1] for k in keys],
         "n_docs": pd.array([acc[k] for k in keys], dtype="int64"),
     })
-
-
-# ------------------------------------------------------------- NEAR search
-
-def near_topk(
-    docs_ds: "ray.data.Dataset",
-    pairs: "Sequence[Tuple[str, str, int]]",
-    k: int = 10,
-    cfg: BM25Config = BM25Config(),
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    stats: Dict[str, float] | None = None,
-) -> pd.DataFrame:
-    """Proximity (NEAR) retrieval: rank documents where the two terms occur
-    within ``w`` tokens of each other (|pos_a − pos_b| ≤ w over the FILTERED
-    token stream, ANY order), scored by BM25 over both terms.
-
-    ``pairs`` is a sequence of (term_a, term_b, w); query_id is rendered as
-    ``"a NEAR/w b"``.  Vectorized: per batch, both terms' occurrences pack
-    into sorted (doc, position) keys and the within-distance test is two
-    searchsorted sweeps — no per-occurrence Python loop.  PK = 2^40 keeps
-    cross-doc ranges disjoint for any real document length.
-    """
-    PK = np.int64(1) << 40
-    tok = get_tokenizer(cfg)
-    norm_pairs = []
-    for a, b, w in pairs:
-        ta = tok.tokenize(a)
-        tb = tok.tokenize(b)
-        if len(ta) == 1 and len(tb) == 1:
-            norm_pairs.append((ta[0], tb[0], int(w)))
-    empty = pd.DataFrame(
-        {"query_id": pd.Series(dtype=object), id_col: pd.Series(dtype=np.int64),
-         "score_micros": pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)}
-    )
-    if not norm_pairs:
-        return empty
-    queries = {f"{a} NEAR/{w} {b}": [a, b] for a, b, w in norm_pairs}
-    stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats)
-    if int(stats["N"]) == 0:
-        return empty
-    live = [
-        (a, b, w) for a, b, w in norm_pairs
-        if df_map.get(a, 0) > 0 and df_map.get(b, 0) > 0
-    ]
-    if not live:
-        return empty
-    n_docs, avgdl = int(stats["N"]), float(stats["avgdl"])
-    weights = _query_weights({f"{a} NEAR/{w} {b}": [a, b] for a, b, w in live},
-                             df_map, n_docs)
-    k1, bb = cfg.k1, cfg.b
-    all_terms = sorted({t for a, b, _ in live for t in (a, b)})
-    term_to_id = {t: i for i, t in enumerate(all_terms)}
-
-    def score_docs(batch: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        texts = batch.column(text_col).to_pylist()
-        toks = [tok.tokenize(t or "") for t in texts]
-        lens = np.array([len(ts) for ts in toks], dtype=np.int64)
-        flat = [t for ts in toks for t in ts]
-        codes = np.fromiter(
-            (term_to_id.get(t, -1) for t in flat), dtype=np.int64, count=len(flat)
-        )
-        doc_of = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
-        doc_starts = np.zeros(len(toks), dtype=np.int64)
-        if len(lens):
-            np.cumsum(lens[:-1], out=doc_starts[1:])
-        pos_in_doc = np.arange(len(flat), dtype=np.int64) - np.repeat(doc_starts, lens)
-        ids_np = batch.column(id_col).to_numpy(zero_copy_only=False)
-        counters: Dict[int, Counter] = {}
-        frames = []
-        for a, b, w in live:
-            qid = f"{a} NEAR/{w} {b}"
-            ma = codes == term_to_id[a]
-            mb = codes == term_to_id[b]
-            if not ma.any() or not mb.any():
-                continue
-            A = doc_of[ma] * PK + pos_in_doc[ma]
-            B = doc_of[mb] * PK + pos_in_doc[mb]
-            lo = np.searchsorted(B, A - w)
-            hi = np.searchsorted(B, A + w + 1)
-            hit = hi > lo
-            if a == b:
-                # self-NEAR: every occurrence matches ITSELF at distance 0,
-                # so require a second occurrence inside the window
-                hit = (hi - lo) > 1
-            hit_docs = np.unique(doc_of[ma][hit])
-            if len(hit_docs) == 0:
-                continue
-            wmap = weights[qid]
-            rows_id, rows_score = [], []
-            for di in hit_docs:
-                c = counters.get(di)
-                if c is None:
-                    c = counters[di] = Counter(toks[di])
-                dl = float(lens[di])
-                s = 0.0
-                for t, iw in wmap.items():
-                    tf = float(c[t])
-                    s += iw * (tf * (k1 + 1)) / (tf + k1 * (1 - bb + bb * (dl / avgdl)))
-                rows_id.append(ids_np[di])
-                rows_score.append(s)
-            g = pd.DataFrame({id_col: rows_id, "score": rows_score})
-            g["score_micros"] = score_micros(g["score"].to_numpy())
-            g = g.sort_values(["score_micros", id_col], ascending=[False, True],
-                              kind="mergesort").head(k)
-            g.insert(0, "query_id", qid)
-            frames.append(g[["query_id", id_col, "score_micros"]])
-        if not frames:
-            return pa.table(
-                {"query_id": pa.array([], type=pa.string()),
-                 id_col: pa.array([], type=batch.schema.field(id_col).type),
-                 "score_micros": pa.array([], type=pa.int64())}
-            )
-        out = pd.concat(frames, ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    pdf = docs_ds.map_batches(score_docs, batch_format="pyarrow").to_pandas()
-    if pdf.empty:
-        return empty
-    pdf = pdf.sort_values(
-        ["query_id", "score_micros", id_col], ascending=[True, False, True],
-        kind="mergesort",
-    )
-    pdf["rank"] = pdf.groupby("query_id").cumcount() + 1
-    out = pdf[pdf["rank"] <= k][["query_id", id_col, "score_micros", "rank"]]
-    out = out.reset_index(drop=True)
-    out["rank"] = out["rank"].astype(np.int64)
-    return out

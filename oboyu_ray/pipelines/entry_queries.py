@@ -739,7 +739,7 @@ def _sql_regex_topk() -> str:
 
 
 def _sql_wildcard_topk() -> str:
-    from oboyu_ray.pipelines.bm25_batch import wildcard_to_regex
+    from oboyu_ray.functions.querylang import wildcard_to_regex
 
     return _sql_pattern_topk(
         [(p, wildcard_to_regex(p)) for p in WILDCARD_QUERIES]
@@ -874,7 +874,7 @@ def q_bool_topk(sf_dir: str) -> pd.DataFrame:
 
 
 def _sql_bool_topk() -> str:
-    from oboyu_ray.pipelines.bm25_batch import (
+    from oboyu_ray.functions.querylang import (
         bool_leaves,
         parse_bool_query,
         render_bool_query,
@@ -977,7 +977,7 @@ def q_synonym_topk(sf_dir: str) -> pd.DataFrame:
 
 
 def _sql_synonym_topk() -> str:
-    from oboyu_ray.pipelines.bm25_batch import synonym_groups
+    from oboyu_ray.functions.querylang import synonym_groups
 
     tokq = tokenize_queries(BM25_QUERIES, CFG)
     syn_rows, mult_rows = [], []

@@ -103,10 +103,6 @@ class FederatedEngine:
                 out[t] += int(d)
         return out
 
-    def term_weights(self, terms: List[str]) -> Dict[str, float]:
-        return QueryEngine._weights_from_dfs(
-            terms, self.df(sorted(set(terms))), int(self.stats["N"]))
-
     # ------------------------------------------------------------ search
 
     def search_terms(

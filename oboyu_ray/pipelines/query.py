@@ -55,9 +55,7 @@ def _fuzzy_scan_table(path: str, q: str, d: int, cap: int) -> Dict[str, int]:
     import pyarrow.compute as pc
     import pyarrow.parquet as _pq
 
-    from oboyu_ray.pipelines.bm25_batch import lev_at_most
-
-    from oboyu_ray.pipelines.bm25_batch import fuzzy_mask
+    from oboyu_ray.functions.querylang import fuzzy_mask
 
     t = _pq.read_table(path, columns=["term", "df"])
     lens = pc.utf8_length(t.column("term"))
@@ -338,7 +336,7 @@ class VocabLookup:
             # per-query expansion is then zero-copy vectorized compares —
             # the dict-items Python loop measured 0.2-1.6 s at 4.2M terms,
             # the packed sweep ~10-40 ms
-            from oboyu_ray.pipelines.bm25_batch import FuzzyVocab
+            from oboyu_ray.functions.querylang import FuzzyVocab
 
             cache = getattr(self, "_fz_packed", None)
             if cache is None:
@@ -866,7 +864,7 @@ class QueryEngine:
         identical expansion and scoring (measured 62 → 18 ms p50 at sf0.1:
         shards answer one contiguous block decode instead of a wide-OR
         scatter over thousands of expanded terms)."""
-        from oboyu_ray.pipelines.bm25_batch import wildcard_to_regex
+        from oboyu_ray.functions.querylang import wildcard_to_regex
 
         lit = []
         for ch in pattern:
@@ -941,7 +939,7 @@ class QueryEngine:
         the signed-idf BM25 sum over the distinct positive terms present —
         identical to ``bool_topk``.  Terms are looked up verbatim (the
         boolean grammar names index terms directly; no tokenizer pass)."""
-        from oboyu_ray.pipelines.bm25_batch import bool_leaves, parse_bool_query
+        from oboyu_ray.functions.querylang import bool_leaves, parse_bool_query
 
         tree = parse_bool_query(query) if isinstance(query, str) else query
         pos_terms, _ = bool_leaves(tree)
@@ -966,7 +964,7 @@ class QueryEngine:
         idf(max member df), duplicate tokens multiply the group weight.
         Identical scoring to ``synonym_topk``.  ``synonyms`` is the
         one-directional map form {term: [synonyms...]}."""
-        from oboyu_ray.pipelines.bm25_batch import synonym_groups
+        from oboyu_ray.functions.querylang import synonym_groups
 
         terms = self.tokenizer.tokenize(query)
         gs = synonym_groups(terms, synonyms)

@@ -55,19 +55,6 @@ def vocabulary(postings_ds: "ray.data.Dataset") -> "ray.data.Dataset":
     return agg
 
 
-def term_dfs(postings_ds: "ray.data.Dataset") -> Dict[str, int]:
-    """df for a SMALL term set (e.g. one query's terms): in-batch partials
-    stream back and combine driver-side — same result as ``vocabulary`` with
-    none of the groupby machinery.  Use only when the distinct-term count is
-    driver-small (query terms, not corpus vocabulary)."""
-    out: Dict[str, int] = {}
-    partials = postings_ds.map_batches(term_partials_batch, batch_format="pyarrow")
-    for b in partials.iter_batches(batch_format="pyarrow"):
-        for t, d in zip(b.column("term").to_pylist(), b.column("df_partial").to_pylist()):
-            out[t] = out.get(t, 0) + int(d)
-    return out
-
-
 def collection_stats(docs_ds: "ray.data.Dataset", cfg: BM25Config = BM25Config(),
                      id_col: str = "doc_id", text_col: str = "text") -> Dict[str, float]:
     """Global scalars {N, total_dl, avgdl} — a streaming aggregate, no shuffle."""

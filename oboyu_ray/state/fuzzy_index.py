@@ -174,7 +174,7 @@ class FuzzySidecar:
         return cached
 
     def lookup(self, q: str, d: int, max_terms: int = 1000) -> Dict[str, int]:
-        from oboyu_ray.pipelines.bm25_batch import lev_at_most
+        from oboyu_ray.functions.querylang import lev_at_most
         from oboyu_ray.stages.sketch import _hash64
 
         if d > self.max_edits:

@@ -953,7 +953,7 @@ class IndexShard:
         accumulate in sorted-term order.  Work per part is O(Σ positive
         df + |leaves|·|candidates|) — no per-doc Python, no block-max
         machinery (presence filtering prunes harder than any bound)."""
-        from oboyu_ray.pipelines.bm25_batch import bool_leaves
+        from oboyu_ray.functions.querylang import bool_leaves
 
         W = self.window_docs
         pos_terms, all_terms = bool_leaves(tree)

@@ -71,7 +71,7 @@ def test_lev_at_most_edges():
 def test_fuzzy_vocab_packed_matches_mask():
     """The pre-packed FuzzyVocab (zero-copy per-length views) must return
     exactly the terms fuzzy_mask flags, for d=1 and the d=2 fallback."""
-    from oboyu_ray.pipelines.bm25_batch import FuzzyVocab, fuzzy_mask
+    from oboyu_ray.functions.querylang import FuzzyVocab, fuzzy_mask
 
     rng = random.Random(23)
     words = [
@@ -90,7 +90,7 @@ def test_fuzzy_mask_matches_banded_dp():
     """The vectorized d=1 prefix+suffix decomposition must agree with the
     banded DP on random words (incl. multibyte and adversarial repeats);
     d=2 exercises the fallback path."""
-    from oboyu_ray.pipelines.bm25_batch import fuzzy_mask
+    from oboyu_ray.functions.querylang import fuzzy_mask
 
     rng = random.Random(13)
     words = [
