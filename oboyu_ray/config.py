@@ -61,19 +61,21 @@ class BuildConfig:
     bm25: BM25Config = field(default_factory=BM25Config)
     # the partition unit is the input FILE GROUP (build_index files_per_part
     # — log-structured transcript stores control file sizing upstream);
-    # a partition is the unit of checkpointing, of shard assignment, and of
-    # the per-partition build tasks
+    # a partition is the unit of checkpointing, resume and shard assignment;
+    # each build phase is one Ray Data job whose tasks (one per cluster CPU)
+    # run their partitions in turn
     window_docs: int = 8_192
     # vocabulary aggregation: term partials are hash-bucketed (stable crc32)
     # into this many disjoint buckets at tokenize time (one partials file
-    # per partition, one row group per bucket); min(buckets, partitions)
-    # tasks, each over a bucket range, then do a C++ (pyarrow) group_by — a
-    # deterministic file-based two-phase aggregation instead of a Ray Data
-    # groupby shuffle (measured ~30x faster on a small corpus, and each
-    # bucket is an independent, checkpointable unit).  Every reduce task
-    # opens every partials file once, so at 10^6+ partitions add a combiner
-    # tree level (partials-of-partials per partition range) to bound the
-    # files each task opens.
+    # per partition, one row group per bucket); the buckets are cut into
+    # min(buckets, partitions) contiguous slices, each reduced by one C++
+    # (pyarrow) group_by, and at most one task per cluster CPU runs its
+    # slices in turn — a deterministic file-based two-phase aggregation
+    # instead of a Ray Data groupby shuffle (measured ~30x faster on a small
+    # corpus, and each bucket is an independent, checkpointable unit).
+    # Every reduce task opens every partials file and reads its footer once,
+    # so at 10^6+ partitions add a combiner tree level (partials-of-partials
+    # per partition range) to bound the files each task opens.
     vocab_buckets: int = 32
     # opt-in positional index (reference BM25Indexer(store_positions=True),
     # bm25_indexer.py:38 — the reference allocates the slot but never fills

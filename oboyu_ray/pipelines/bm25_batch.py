@@ -6,7 +6,9 @@ home:
 
 * **one stats pass** (``_stats_and_dfs``): a single tokenization pass gives
   N, total_dl, avgdl and the df of every term a predicate keeps — a term
-  set, prefixes, fuzzy specs or anchored regexes;
+  set, prefixes, fuzzy specs or anchored regexes.  A scorer's ``stats=``
+  argument replaces the N and avgdl the scores use; it saves no pass, since
+  the query terms' dfs still need it;
 * **two batch scorers**: the OR scorer (``_make_score_docs``: per-term
   weighted contributions folded per doc by sum or dismax) and the
   positional scorer (``_positional_topk``: phrase, ordered-span and NEAR
@@ -371,8 +373,9 @@ def brute_force_scores(
     """Exact BM25 scores for EVERY (query, candidate doc) pair — the full
     score table, collected to the driver.  Test/oracle harness only: the
     production top-k path is ``brute_force_topk`` (per-batch local top-k,
-    never collects the candidate set).  ``stats`` may be passed to avoid
-    recomputing the global N/avgdl pass.
+    never collects the candidate set).  ``stats`` replaces the corpus's own
+    N and avgdl in the scores; the stats pass still runs for the query
+    terms' dfs.
     """
     stats, df_map = _resolve_stats(docs_ds, queries, cfg, id_col, text_col, stats)
     if int(stats["N"]) == 0:

@@ -19,30 +19,31 @@ Scale consequences (the reason this wins at 10^12 turns):
   The only term-keyed shuffle left is the vocabulary aggregate, whose input
   is pre-aggregated per partition (term partials), bounding any term's
   shuffle fan-in to (#partitions) rows.
-* The wide stages stream: phases are per-partition tasks fed by a tiny
-  dataset of partition specs; Ray's streaming executor pipelines
-  read→tokenize→write with backpressure, and each task's output is a small
-  summary/partials table, not data.
+* The wide stages stream: each phase is one Ray Data job over a tiny
+  dataset of partition specs (``run_specs``: one block, and so one task,
+  per cluster CPU, running its partitions in turn); each partition's
+  output goes straight to parquet and only a small summary row comes back.
+  The partition stays the unit of checkpointing and resume.
 
 Phases (each checkpointed via state/checkpoint.py, resumable, atomic):
-  0. ingest     — per input-file-group task: read transcripts, assemble docs
+  0. ingest     — per input-file group: read transcripts, assemble docs
                   (deterministic doc_id = (conv_id, turn_idx)), assign dense
                   doc_num = conv_offset + turn_idx, write docs-{part}.parquet.
   C   conv map  — groupby(conv_id).agg(span) → sort(conv_id) → per-file
                   prefix offsets (the only global ordering pass; conv-level,
                   ~1/100th of turn rows).
-  A. tokenize   — per-partition task: docs → postings (term, doc_num, tf, dl)
+  A. tokenize   — per partition: docs → postings (term, doc_num, tf, dl)
                   sorted by (term, doc_num) + per-doc dl table; emits the
                   partition's term partials (term, df, cf) for the
                   vocabulary as ONE file, vocab_partials/p{part}.parquet,
                   sorted by bucket = crc32(term) % B, one row group per
                   bucket.
-  B. vocabulary — min(B, #partials files) tasks, each over a contiguous
-                  bucket range: read the range's row groups of every
-                  partials file, groupby(bucket, term) → one
+  B. vocabulary — min(B, #partials files) contiguous bucket slices, run
+                  by at most one task per CPU: read a slice's row groups
+                  of every partials file, groupby(bucket, term) → one
                   vocab-{b}.parquet per bucket + stats.json
                   (N, total_dl, avgdl).
-  C. blocks     — per-partition task: postings → aligned-window compressed
+  C. blocks     — per partition: postings → aligned-window compressed
                   posting blocks (delta+varint docs, varint tfs, per-block
                   min/max tf-norm for signed block-max pruning).
 
@@ -63,7 +64,7 @@ import json
 import os
 import time
 from dataclasses import asdict
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 import pandas as pd
@@ -107,6 +108,34 @@ def _dirs(index_dir: str) -> Dict[str, str]:
     return d
 
 
+def _cluster_cpus() -> int:
+    """Logical CPUs of the Ray cluster; the machine's before Ray is up
+    (Ray Data then starts a local cluster over all of them)."""
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def run_specs(items: List[Dict], fn: Callable[[Dict], pa.Table]) -> List[Dict]:
+    """Run ``fn`` over small spec rows (partitions, files, bucket slices)
+    as ONE Ray Data job; returns the rows of the tables it returns.  The
+    rows go in min(#rows, cluster CPUs) contiguous blocks, one task each,
+    that run their rows in turn: every phase pays a task launch per CPU,
+    not per partition, and a task holds one row's data at a time."""
+    if not items:
+        return []
+
+    def run(batch: pa.Table) -> Iterator[pa.Table]:
+        for row in batch.to_pylist():
+            yield fn(row)
+
+    return (
+        ray.data.from_items(items, override_num_blocks=min(len(items), _cluster_cpus()))
+        .map_batches(run, batch_format="pyarrow", batch_size=None)
+        .take_all()
+    )
+
+
 # --------------------------------------------------------------- conv map
 
 def build_conv_map(
@@ -119,10 +148,13 @@ def build_conv_map(
 
     Fast path (zero-shuffle): input files hold disjoint conversation ranges
     (the same assumption ingest documents for log-structured transcript
-    stores).  Per-file map tasks compute local (conv_id, span) tables +
-    prefix offsets in parallel; the driver prefix-sums the tiny per-file
-    span totals and a second parallel pass stamps the global base offset.
-    Cost: two streaming passes over conv-level metadata, no all-to-all.
+    stores).  A first ``run_specs`` job computes each file's local
+    (conv_id, span) table + prefix offsets, at most one task per CPU; the
+    driver prefix-sums the tiny per-file span totals and a second job
+    stamps each file's global base offset (in tasks, not on the driver:
+    at 10^6+ files the driver must not rewrite every conv-map file).
+    Cost: two passes over conv-level metadata, two jobs whatever the file
+    count, no all-to-all.
 
     Fallback (files interleave conversations, detected by overlapping
     per-file conv_id ranges): global groupby(conv_id) + sort — the only
@@ -163,49 +195,44 @@ def _build_conv_map_disjoint(
         if f.endswith(".parquet"):
             os.remove(os.path.join(out_dir, f))
 
-    def spans_one_file(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            i, f = int(row["i"]), row["file"]
-            t = pq.read_table(f, columns=["conv_id", "turn_idx"])
-            g = (
-                t.group_by("conv_id")
-                .aggregate([("turn_idx", "max"), ("turn_idx", "count")])
-                .sort_by("conv_id")
-            )
-            span = pc.add(g.column("turn_idx_max").cast(pa.int64()), 1)
-            local = pa.table(
-                {
-                    "conv_id": g.column("conv_id"),
-                    "span": span,
-                    "n_turns": g.column("turn_idx_count").cast(pa.int64()),
-                }
-            )
-            spans_np = local.column("span").to_numpy().astype(np.int64)
-            offsets = (
-                np.concatenate(([0], np.cumsum(spans_np)[:-1]))
-                if len(spans_np)
-                else np.zeros(0, dtype=np.int64)
-            )
-            local = local.append_column("local_offset", pa.array(offsets, type=pa.int64()))
-            path = os.path.join(local_dir, f"local-{i:05d}.parquet")
-            atomic_write_table(path, local)
-            yield pa.table(
-                {
-                    "i": [i],
-                    "path": [path],
-                    "min_conv": [str(local.column("conv_id")[0]) if local.num_rows else ""],
-                    "max_conv": [str(local.column("conv_id")[-1]) if local.num_rows else ""],
-                    "span_sum": [int(spans_np.sum()) if len(spans_np) else 0],
-                    "n_convs": [local.num_rows],
-                }
-            )
+    def spans_one_file(row: Dict) -> pa.Table:
+        i, f = int(row["i"]), row["file"]
+        t = pq.read_table(f, columns=["conv_id", "turn_idx"])
+        g = (
+            t.group_by("conv_id")
+            .aggregate([("turn_idx", "max"), ("turn_idx", "count")])
+            .sort_by("conv_id")
+        )
+        span = pc.add(g.column("turn_idx_max").cast(pa.int64()), 1)
+        local = pa.table(
+            {
+                "conv_id": g.column("conv_id"),
+                "span": span,
+                "n_turns": g.column("turn_idx_count").cast(pa.int64()),
+            }
+        )
+        spans_np = local.column("span").to_numpy().astype(np.int64)
+        offsets = (
+            np.concatenate(([0], np.cumsum(spans_np)[:-1]))
+            if len(spans_np)
+            else np.zeros(0, dtype=np.int64)
+        )
+        local = local.append_column("local_offset", pa.array(offsets, type=pa.int64()))
+        path = os.path.join(local_dir, f"local-{i:05d}.parquet")
+        atomic_write_table(path, local)
+        return pa.table(
+            {
+                "i": [i],
+                "path": [path],
+                "min_conv": [str(local.column("conv_id")[0]) if local.num_rows else ""],
+                "max_conv": [str(local.column("conv_id")[-1]) if local.num_rows else ""],
+                "span_sum": [int(spans_np.sum()) if len(spans_np) else 0],
+                "n_convs": [local.num_rows],
+            }
+        )
 
-    items = [{"i": i, "file": f} for i, f in enumerate(transcript_files)]
-    summaries = (
-        ray.data.from_items(items)
-        .map_batches(spans_one_file, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
+    summaries = run_specs([{"i": i, "file": f} for i, f in enumerate(transcript_files)],
+                          spans_one_file)
     summaries = [s for s in summaries if s["n_convs"] > 0]
     summaries.sort(key=lambda s: s["min_conv"])
     for a, b in zip(summaries, summaries[1:]):
@@ -221,27 +248,21 @@ def _build_conv_map_disjoint(
         stamped.append({"rank": rank, "i": int(s["i"]), "path": s["path"], "base": base})
         base += int(s["span_sum"])
 
-    def stamp(batch: pa.Table) -> Iterator[pa.Table]:
+    def stamp(row: Dict) -> pa.Table:
         import zlib
 
-        for row in batch.to_pylist():
-            t = pq.read_table(row["path"])
-            off = pc.add(t.column("local_offset"), int(row["base"]))
-            out = t.drop_columns(["local_offset"]).append_column("conv_offset", off)
-            path = os.path.join(out_dir, f"conv-map-{int(row['rank']):05d}.parquet")
-            atomic_write_table(path, out)
-            with open(path, "rb") as fh:
-                crc = zlib.crc32(fh.read())
-            yield pa.table({"path": [path], "crc": [crc], "i": [int(row["i"])]})
+        t = pq.read_table(row["path"])
+        off = pc.add(t.column("local_offset"), int(row["base"]))
+        out = t.drop_columns(["local_offset"]).append_column("conv_offset", off)
+        path = os.path.join(out_dir, f"conv-map-{int(row['rank']):05d}.parquet")
+        atomic_write_table(path, out)
+        with open(path, "rb") as fh:
+            crc = zlib.crc32(fh.read())
+        return pa.table({"path": [path], "crc": [crc], "i": [int(row["i"])]})
 
     import zlib
 
-    results = sorted(
-        ray.data.from_items(stamped)
-        .map_batches(stamp, batch_format="pyarrow", batch_size=1)
-        .take_all(),
-        key=lambda r: r["path"],
-    )
+    results = sorted(run_specs(stamped, stamp), key=lambda r: r["path"])
     final_files = [r["path"] for r in results]
     # content fingerprint: ingest partitions depend on conversation offsets;
     # a conv-map rebuild with IDENTICAL content (e.g. a text-only input edit)
@@ -604,14 +625,8 @@ def ingest(
             }
         )
 
-    def run(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _ingest_one_group(row, conv_offsets_ref, index_dir, int(row["fp"]))
-
-    summaries = (
-        ray.data.from_items(groups)
-        .map_batches(run, batch_format="pyarrow", batch_size=1)
-        .take_all()
+    summaries = run_specs(
+        groups, lambda row: _ingest_one_group(row, conv_offsets_ref, index_dir, int(row["fp"]))
     )
     # sparsity sanity: window structures size O(doc range); warn when a
     # partition's doc range is far larger than its doc count
@@ -806,101 +821,100 @@ def _tokenize_one_part(part_id: int, index_dir: str, cfg: BuildConfig) -> pa.Tab
 
 
 def tokenize_phase(part_ids: List[int], index_dir: str, cfg: BuildConfig) -> List[Dict]:
-    """Phase A: partition specs → per-partition tokenize tasks.  Postings,
-    dls and hash-bucketed term partials go straight to parquet inside the
-    task; only the small summary rows come back."""
-
-    def run(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _tokenize_one_part(int(row["part_id"]), index_dir, cfg)
-
-    return (
-        ray.data.from_items([{"part_id": p} for p in part_ids])
-        .map_batches(run, batch_format="pyarrow", batch_size=1)
-        .take_all()
+    """Phase A: partition specs → one ``run_specs`` job that tokenizes
+    each partition in turn.  Postings, dls and hash-bucketed term partials
+    go straight to parquet inside the task; only the small summary rows
+    come back."""
+    return run_specs(
+        [{"part_id": p} for p in part_ids],
+        lambda row: _tokenize_one_part(int(row["part_id"]), index_dir, cfg),
     )
 
 
 # --------------------------------------------------------------- phase B
 
-def _read_bucket_range(files: List[str], lo: int, hi: int) -> pa.Table:
-    """Rows of buckets [lo, hi) from every partials file: each file is
-    opened once and only the row groups of those buckets are read.  Row
-    groups hold one bucket each, in bucket order, so two bisections over
-    the footer's ``bucket`` statistics find them."""
-    from bisect import bisect_left
-
+def _read_bucket_range(footers: List, lo: int, hi: int) -> pa.Table:
+    """Rows of buckets [lo, hi) from every open partials file, reading only
+    those buckets' row groups.  ``footers`` pairs each ``ParquetFile`` with
+    its row groups' bucket ids (one bucket per row group, ascending)."""
     tables = []
-    for f in files:
-        with pq.ParquetFile(f) as pf:
-            md = pf.metadata
-            col = pf.schema_arrow.get_field_index("bucket")
-
-            def bucket_of(i: int) -> int:
-                return md.row_group(i).column(col).statistics.min
-
-            rgs = range(md.num_row_groups)
-            first, end = (bisect_left(rgs, b, key=bucket_of) for b in (lo, hi))
-            if end > first:
-                tables.append(pf.read_row_groups(list(range(first, end))))
+    for pf, rg_buckets in footers:
+        first, end = np.searchsorted(rg_buckets, [lo, hi])
+        if end > first:
+            tables.append(pf.read_row_groups(list(range(first, end))))
     return pa.concat_tables(tables) if tables else PARTIALS_SCHEMA.empty_table()
 
 
-def _vocab_bucket_range(lo: int, hi: int, index_dir: str) -> pa.Table:
-    """Reduce side of the vocabulary aggregation for buckets [lo, hi):
-    merge the disjoint term buckets' partials with one C++ group_by and
-    write a term-sorted ``vocab-{b}`` file plus a ``bucket-{b}`` manifest
-    per bucket.  Returns one metrics row per bucket."""
+def _vocab_bucket_slices(slices: List[List[int]], index_dir: str) -> pa.Table:
+    """Reduce side of the vocabulary aggregation for one task's bucket
+    slices ``[[lo, hi], ...]``: open every partials file and read its
+    footer once, then per slice merge the disjoint term buckets' partials
+    with one C++ group_by and write a term-sorted ``vocab-{b}`` file plus
+    a ``bucket-{b}`` manifest per bucket.  Returns one metrics row per
+    bucket."""
+    from contextlib import ExitStack
+
     man = Manifest(index_dir, "vocab")
     pdir = os.path.join(index_dir, "vocab_partials")
     files = sorted(
         os.path.join(pdir, f) for f in os.listdir(pdir) if f.endswith(".parquet")
     )
     lineage = {"files": files_sig(files)}
-    todo = [b for b in range(lo, hi) if not man.is_done(f"bucket-{b}", lineage)]
-    if todo:
-        g = (
-            _read_bucket_range(files, todo[0], todo[-1] + 1)
-            .group_by(["bucket", "term"])
-            .aggregate([("df_partial", "sum"), ("cf_partial", "sum")])
-            .sort_by([("bucket", "ascending"), ("term", "ascending")])
-        )
-        g_buckets = g.column("bucket").to_numpy()
-        for b in todo:
-            s, e = np.searchsorted(g_buckets, [b, b + 1])
-            grp = g.slice(int(s), int(e - s))
-            vocab = pa.table(
-                {
-                    "term": grp.column("term"),
-                    "df": grp.column("df_partial_sum").cast(pa.int64()),
-                    "cf": grp.column("cf_partial_sum").cast(pa.int64()),
-                }
+    todos = [
+        [b for b in range(lo, hi) if not man.is_done(f"bucket-{b}", lineage)]
+        for lo, hi in slices
+    ]
+    with ExitStack() as stack:
+        footers = []
+        for f in files if any(todos) else []:
+            pf = stack.enter_context(pq.ParquetFile(f))
+            col = pf.schema_arrow.get_field_index("bucket")
+            rgs = (pf.metadata.row_group(i) for i in range(pf.metadata.num_row_groups))
+            footers.append((pf, np.array([rg.column(col).statistics.min for rg in rgs])))
+        for todo in filter(None, todos):
+            g = (
+                _read_bucket_range(footers, todo[0], todo[-1] + 1)
+                .group_by(["bucket", "term"])
+                .aggregate([("df_partial", "sum"), ("cf_partial", "sum")])
+                .sort_by([("bucket", "ascending"), ("term", "ascending")])
             )
-            out_path = os.path.join(index_dir, "vocab", f"vocab-{b:05d}.parquet")
-            # term-sorted small row groups: a query-time df point lookup
-            # filters to the one row group whose [min,max] term range covers
-            # it instead of decoding the whole bucket file (measured 300 ms →
-            # ~2 ms per term at a 15.9M-term vocabulary)
-            atomic_write_table(out_path, vocab, row_group_size=16_384)
-            metrics = {
-                "bucket": b,
-                "n_terms": vocab.num_rows,
-                "cf_sum": int(pc.sum(vocab.column("cf")).as_py() or 0),
-            }
-            man.commit(f"bucket-{b}", [out_path], lineage, metrics)
-    rows = [man.get(f"bucket-{b}")["metrics"] for b in range(lo, hi)]
+            g_buckets = g.column("bucket").to_numpy()
+            for b in todo:
+                s, e = np.searchsorted(g_buckets, [b, b + 1])
+                grp = g.slice(int(s), int(e - s))
+                vocab = pa.table(
+                    {
+                        "term": grp.column("term"),
+                        "df": grp.column("df_partial_sum").cast(pa.int64()),
+                        "cf": grp.column("cf_partial_sum").cast(pa.int64()),
+                    }
+                )
+                out_path = os.path.join(index_dir, "vocab", f"vocab-{b:05d}.parquet")
+                # term-sorted small row groups: a query-time df point lookup
+                # filters to the one row group whose [min,max] term range
+                # covers it instead of decoding the whole bucket file
+                # (measured 300 ms → ~2 ms per term at a 15.9M-term vocabulary)
+                atomic_write_table(out_path, vocab, row_group_size=16_384)
+                metrics = {
+                    "bucket": b,
+                    "n_terms": vocab.num_rows,
+                    "cf_sum": int(pc.sum(vocab.column("cf")).as_py() or 0),
+                }
+                man.commit(f"bucket-{b}", [out_path], lineage, metrics)
+    rows = [man.get(f"bucket-{b}")["metrics"] for lo, hi in slices for b in range(lo, hi)]
     return pa.table({k: [r[k] for r in rows] for k in ("bucket", "n_terms", "cf_sum")})
 
 
 def vocabulary_phase(
     index_dir: str, cfg: BuildConfig, n_docs: int, total_dl: int
 ) -> Dict[str, float]:
-    """Phase B: C++ group_by over the tokenize phase's bucketed partials,
-    split into at most one task per partials file, each over a contiguous
-    bucket range (disjoint term sets → embarrassingly parallel, no
-    shuffle).  Any term's reduce fan-in is bounded by #partitions rows
-    (partials are pre-aggregated per partition), so hot terms cannot skew
-    a bucket."""
+    """Phase B: C++ group_by over the tokenize phase's bucketed partials.
+    The B buckets are cut into min(B, #partials files) contiguous slices,
+    one group_by each (disjoint term sets → embarrassingly parallel, no
+    shuffle), and the slices into at most one task per CPU, which reads
+    each partials file's footer once and reduces its slices in turn.  Any
+    term's reduce fan-in is bounded by #partitions rows (partials are
+    pre-aggregated per partition), so hot terms cannot skew a bucket."""
 
     # GC bucket outputs + manifests beyond the current bucket count (a
     # shrink would otherwise leave stale vocab files that VocabLookup reads)
@@ -918,21 +932,20 @@ def vocabulary_phase(
             if m and int(m.group(1)) >= cfg.vocab_buckets:
                 os.remove(os.path.join(mdir, f))
 
-    # at most one task per partials file: each task opens every file once,
-    # so with fewer files than buckets a task takes a contiguous range
+    # min(B, #partials files) contiguous bucket slices, one group_by each;
+    # the slices go to at most one task per CPU, and a task reads each
+    # partials file's footer once for all of its slices
     pdir = os.path.join(index_dir, "vocab_partials")
     n_files = sum(f.endswith(".parquet") for f in os.listdir(pdir))
-    n_tasks = max(1, min(cfg.vocab_buckets, n_files))
-    ranges = np.array_split(np.arange(cfg.vocab_buckets), n_tasks)
-
-    def run(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _vocab_bucket_range(int(row["lo"]), int(row["hi"]), index_dir)
-
-    results = (
-        ray.data.from_items([{"lo": int(r[0]), "hi": int(r[-1]) + 1} for r in ranges])
-        .map_batches(run, batch_format="pyarrow", batch_size=1)
-        .take_all()
+    n_slices = max(1, min(cfg.vocab_buckets, n_files))
+    bounds = [
+        [int(r[0]), int(r[-1]) + 1]
+        for r in np.array_split(np.arange(cfg.vocab_buckets), n_slices)
+    ]
+    tasks = np.array_split(np.arange(n_slices), min(n_slices, _cluster_cpus()))
+    results = run_specs(
+        [{"slices": [bounds[i] for i in t]} for t in tasks],
+        lambda row: _vocab_bucket_slices(row["slices"], index_dir),
     )
     stats = {
         "N": n_docs,
@@ -1088,14 +1101,9 @@ def _encode_blocks_one_part(
 
 
 def blocks_phase(part_ids: List[int], index_dir: str, cfg: BuildConfig, avgdl: float) -> List[Dict]:
-    def run(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _encode_blocks_one_part(int(row["part_id"]), index_dir, cfg, avgdl)
-
-    return (
-        ray.data.from_items([{"part_id": p} for p in part_ids])
-        .map_batches(run, batch_format="pyarrow", batch_size=1)
-        .take_all()
+    return run_specs(
+        [{"part_id": p} for p in part_ids],
+        lambda row: _encode_blocks_one_part(int(row["part_id"]), index_dir, cfg, avgdl),
     )
 
 

@@ -54,20 +54,18 @@ import os
 import time
 import zlib
 from dataclasses import asdict, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray
-import ray.data
 
 from oboyu_ray.config import BuildConfig
 from oboyu_ray.pipelines.build_index import (
     _vocab_bucket_ids,
     _write_partials_file,
     blocks_phase,
+    run_specs,
     vocabulary_phase,
 )
 from oboyu_ray.state.checkpoint import (
@@ -230,13 +228,10 @@ def _merge_conv_map(metas: List[Dict], offsets: List[int], out_dir: str) -> None
                           "dst": os.path.join(cdir, f"conv-map-m{i:03d}-{j:05d}.parquet"),
                           "key": f"m{i:03d}-{j:05d}"})
 
-    def run(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            key, src, dst, off = row["key"], row["src"], row["dst"], int(row["off"])
-            lineage = {"src": {src: file_sig(src)}, "off": off}
-            if man.is_done(key, lineage):
-                yield pa.table({"key": [key]})
-                continue
+    def run(row: Dict) -> pa.Table:
+        key, src, dst, off = row["key"], row["src"], row["dst"], int(row["off"])
+        lineage = {"src": {src: file_sig(src)}, "off": off}
+        if not man.is_done(key, lineage):
             t = pq.read_table(src)
             idx = t.schema.get_field_index("conv_offset")
             t = t.set_column(
@@ -246,14 +241,9 @@ def _merge_conv_map(metas: List[Dict], offsets: List[int], out_dir: str) -> None
             )
             atomic_write_table(dst, t)
             man.commit(key, [dst], lineage, {"rows": t.num_rows})
-            yield pa.table({"key": [key]})
+        return pa.table({"key": [key]})
 
-    if specs:
-        (
-            ray.data.from_items(specs)
-            .map_batches(run, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+    run_specs(specs, run)
 
 
 def _gc_stale_merge_parts(out_dir: str, n_parts: int) -> None:
@@ -373,15 +363,7 @@ def merge_indexes(
             dst += 1
     _gc_stale_merge_parts(out_dir, len(specs))
 
-    def run_part(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _merge_one_part(row, out_dir)
-
-    part_rows = (
-        ray.data.from_items(specs)
-        .map_batches(run_part, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
+    part_rows = run_specs(specs, lambda row: _merge_one_part(row, out_dir))
     part_rows.sort(key=lambda r: int(r["part_id"]))
     part_ids = [int(r["part_id"]) for r in part_rows]
     t_parts = time.time()
@@ -408,15 +390,7 @@ def merge_indexes(
             ],
         })
 
-    def run_vocab(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            yield _rebucket_vocab_partials(row, merged_cfg.vocab_buckets, out_dir)
-
-    (
-        ray.data.from_items(vspecs)
-        .map_batches(run_vocab, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
+    run_specs(vspecs, lambda row: _rebucket_vocab_partials(row, merged_cfg.vocab_buckets, out_dir))
     stats = vocabulary_phase(out_dir, merged_cfg, n_docs, total_dl)
     t_vocab = time.time()
 

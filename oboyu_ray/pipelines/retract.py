@@ -23,14 +23,13 @@ partitions, not the corpus.
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray.data
-
+from oboyu_ray.pipelines.build_index import run_specs
 from oboyu_ray.state.checkpoint import atomic_write_table
 
 
@@ -49,24 +48,18 @@ def retract_conversations(
     os.makedirs(out_dir, exist_ok=True)
     removed = pa.array(sorted(set(conv_ids)), type=pa.string())
 
-    def filter_one(batch: pa.Table) -> Iterator[pa.Table]:
-        for row in batch.to_pylist():
-            f = row["file"]
-            t = pq.read_table(f)
-            mask = pc.is_in(t.column("conv_id"), value_set=removed)
-            n_hit = int(pc.sum(mask.cast(pa.int8())).as_py() or 0)
-            if n_hit == 0:
-                yield pa.table({"file": [f], "out": [f], "removed_turns": [0]})
-                continue
-            kept = t.filter(pc.invert(mask))
-            out_path = os.path.join(out_dir, os.path.basename(f))
-            atomic_write_table(out_path, kept)
-            yield pa.table({"file": [f], "out": [out_path], "removed_turns": [n_hit]})
+    def filter_one(row: Dict) -> pa.Table:
+        f = row["file"]
+        t = pq.read_table(f)
+        mask = pc.is_in(t.column("conv_id"), value_set=removed)
+        n_hit = int(pc.sum(mask.cast(pa.int8())).as_py() or 0)
+        if n_hit == 0:
+            return pa.table({"file": [f], "out": [f], "removed_turns": [0]})
+        kept = t.filter(pc.invert(mask))
+        out_path = os.path.join(out_dir, os.path.basename(f))
+        atomic_write_table(out_path, kept)
+        return pa.table({"file": [f], "out": [out_path], "removed_turns": [n_hit]})
 
-    results = (
-        ray.data.from_items([{"file": f} for f in transcript_files])
-        .map_batches(filter_one, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
+    results = run_specs([{"file": f} for f in transcript_files], filter_one)
     by_file = {r["file"]: r["out"] for r in results}
     return [by_file[f] for f in transcript_files]

@@ -241,6 +241,39 @@ def test_resume_after_partial_failure(built, tmp_path):
     assert regenerated == original
 
 
+INDEX_SUBDIRS = ("docs", "postings", "dls", "blocks", "vocab", "vocab_partials", "conv_map")
+
+
+def _index_bytes(index_dir: str) -> dict:
+    """{relative path: bytes} of an index's parquet tables and stats.json."""
+    out = {"stats.json": open(os.path.join(index_dir, "stats.json"), "rb").read()}
+    for sub in INDEX_SUBDIRS:
+        for f in sorted(os.listdir(os.path.join(index_dir, sub))):
+            if f.endswith(".parquet"):
+                out[f"{sub}/{f}"] = open(os.path.join(index_dir, sub, f), "rb").read()
+    return out
+
+
+def test_build_is_identical_at_any_job_width(tmp_path, monkeypatch):
+    """Phase jobs cut their partitions (and vocabulary bucket slices) into
+    one block per cluster CPU.  One block, or five, must write the same
+    bytes: the job width changes only which task runs which partition."""
+    from oboyu_ray.pipelines import build_index as bi
+
+    files = write_synth_transcripts(str(tmp_path / "t"), n_convs=120, seed=5, convs_per_file=20)
+    cfg = BuildConfig(window_docs=256, store_positions=True)
+    trees, asked = {}, []
+    for cpus in (1, 5):
+        monkeypatch.setattr(bi, "_cluster_cpus", lambda n=cpus: asked.append(n) or n)
+        report = build_index(files, str(tmp_path / f"idx{cpus}"), cfg, files_per_part=1)
+        assert report["n_parts"] == len(files) == 6
+        trees[cpus] = _index_bytes(str(tmp_path / f"idx{cpus}"))
+    assert set(asked) == {1, 5}
+    assert sorted(trees[1]) == sorted(trees[5])
+    assert {k.split("/")[0] for k in trees[1]} == {"stats.json", *INDEX_SUBDIRS}
+    assert [k for k in trees[1] if trees[1][k] != trees[5][k]] == []
+
+
 def test_incremental_rebuild_after_content_change(built, tmp_path):
     """Change-detection lineage (file size+mtime signatures, the reference
     change_detector.py 'smart' strategy analog): editing ONE input file

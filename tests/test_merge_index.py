@@ -316,3 +316,25 @@ def test_merged_payload_bytes_sum_over_members(setup):
     ]
     assert setup["report1"]["payload_bytes"] == sum(r["payload_bytes"] for r in members)
     assert setup["report1"]["total_postings"] == sum(r["total_postings"] for r in members)
+
+
+def test_merge_is_identical_at_any_job_width(setup, monkeypatch):
+    """The merge's jobs (renumber, re-bucket, vocabulary, blocks, conv map)
+    run one block per cluster CPU.  One block, or five, must write the same
+    bytes as the fixture's merge."""
+    from oboyu_ray.pipelines import build_index as bi
+
+    members = [str(setup["base"] / "idx_b"), str(setup["base"] / "idx_a")]
+    dirs = ("docs", "postings", "dls", "blocks", "vocab", "vocab_partials", "conv_map")
+
+    def tables(d: str) -> dict:
+        return {k: v for k, v in _tree_checksums(d).items()
+                if k == "stats.json" or k.split(os.sep)[0] in dirs}
+
+    want = tables(str(setup["base"] / "idx_m"))
+    assert {k.split(os.sep)[0] for k in want} == {"stats.json", *dirs}
+    for cpus in (1, 5):
+        monkeypatch.setattr(bi, "_cluster_cpus", lambda n=cpus: n)
+        out = str(setup["base"] / f"idx_m_width{cpus}")
+        merge_indexes(members, out, build_sidecar=False)
+        assert tables(out) == want, cpus
