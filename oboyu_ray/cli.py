@@ -97,15 +97,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     req.k, req.hydrate = int(qcfg["k"]), bool(qcfg["hydrate"])
     req.require_all = bool(qcfg["require_all"])
     _ensure_ray(a["num_cpus"])
-    from oboyu_ray.pipelines.federated import FederatedEngine
     from oboyu_ray.pipelines.query import QueryEngine
 
+    members = [a["index_dir"]] + [d for d in (req.federate or "").split(",") if d]
     try:  # a pool the cluster cannot hold or disagreeing members
-        if req.federate:
-            members = [a["index_dir"]] + [d for d in req.federate.split(",") if d]
-            engine = FederatedEngine(members, num_shards_each=qcfg["num_shards"])
-        else:
-            engine = QueryEngine(a["index_dir"], num_shards=qcfg["num_shards"])
+        engine = QueryEngine(members, num_shards=qcfg["num_shards"])
     except ValueError as e:
         print(f"query: {e}", file=sys.stderr)
         return 2
@@ -324,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "doc_num interval [LO, HI) (full-corpus statistics)")
     q.add_argument("--federate", default=None, metavar="DIR[,DIR...]",
                    help="federated search: additional member index dirs "
-                        "queried together with merged global statistics")
+                        "served with --index-dir as one index (one shard "
+                        "pool, summed statistics, every mode); --num-shards "
+                        "is per member, and --scope is in the engine's "
+                        "global doc numbers (each member shifted by the "
+                        "window-rounded doc spans of the members before it)")
     q.add_argument("--num-cpus", type=int, default=None)
     q.set_defaults(fn=cmd_query)
 

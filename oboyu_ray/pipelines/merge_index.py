@@ -1,9 +1,10 @@
 """Physical index merge: K member indexes → one monolithic index.
 
-The rolling-ingest story's other half.  ``FederatedEngine``
-(pipelines/federated.py) answers queries over many member indexes with
-exactly-merged statistics but pays the member fan-out on every query;
-``merge_indexes`` folds the members into ONE on-disk index offline — the
+The rolling-ingest story's other half.  ``QueryEngine`` over a list of
+member indexes (pipelines/query.py) answers queries over them as one
+index, with exactly-merged statistics and the same doc numbering, but
+keeps every member's files and bounds; ``merge_indexes`` folds the
+members into ONE on-disk index offline — the
 segment-merge of log-structured search engines (Lucene's
 ``IndexWriter.addIndexes``/forceMerge shape).  The reference has no merge —
 its only path is a full rebuild (``indexing_pipeline.py:334-349``); at
@@ -27,15 +28,17 @@ touches a token:
   share), reduced by the build's own ``vocabulary_phase`` — same disjoint
   per-bucket C++ group_by, no shuffle.
 * **Global statistics add** (N, total_dl → avgdl; df/cf per term), the
-  same exact-merge semantics FederatedEngine proves
-  (tests/test_federated.py); scores on the merged index are therefore
+  same exact-merge semantics the multi-index engine serves
+  (tests/test_multi_index.py); scores on the merged index are therefore
   bit-identical to a fresh monolithic build over the concatenated corpus.
 
 Constraints (validated up front, before any output is written):
 
 * Members must agree on their whole ``BM25Config`` (k1/b, tokenizer,
-  stopwords, min token length, language), ``window_docs`` and
-  positional storage — mixing them cannot produce a coherent index.
+  stopwords, min token length, language) and ``window_docs`` — the member
+  rule (``read_members``) the multi-index engine shares, with its doc
+  offsets — and on positional storage — mixing them cannot produce a
+  coherent index.
 * Member conversation-id ranges must be DISJOINT (the same conversation
   in two members has no well-defined merged doc numbering).  Members are
   auto-ordered by conversation range so the merged conv_map keeps both
@@ -53,7 +56,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,13 +80,69 @@ from oboyu_ray.state.checkpoint import (
 )
 
 
-def _member_meta(d: str) -> Dict:
+@dataclass(frozen=True)
+class Member:
+    """One member index of a merge or of a multi-index ``QueryEngine``:
+    its build report and statistics, and where its doc numbers start in
+    the combined numbering (``doc_offset``)."""
+
+    dir: str
+    stats: Dict
+    report: Dict
+    cfg: BuildConfig
+    doc_offset: int = 0
+    doc_span: int = 0  # its doc-number span, rounded up to a window multiple
+
+    @property
+    def build_avgdl(self) -> float:
+        """The avgdl its stored block-max bounds were computed with."""
+        return float(self.stats["avgdl"]) or 1.0
+
+
+def _member(d: str) -> Member:
     with open(os.path.join(d, "stats.json")) as f:
         stats = json.load(f)
     with open(os.path.join(d, "build_report.json")) as f:
         report = json.load(f)
-    cfg = BuildConfig.from_report(report.get("config", {}))
-    return {"dir": d, "stats": stats, "report": report, "cfg": cfg}
+    return Member(d, stats, report, BuildConfig.from_report(report.get("config", {})))
+
+
+def read_members(index_dirs: List[str], key=None) -> List[Member]:
+    """The one member rule of merge and of the multi-index engine, read
+    from each member's build report and stats alone (no index data is
+    opened, so a refusal comes before any work).  Members must score alike
+    (every ``BM25Config`` field) and share ``window_docs``, the window grid
+    of their blocks.  Members keep the given order (``key`` sorts them
+    first).  Member i's doc numbers shift by the doc spans of the members
+    before it, each rounded up to a multiple of ``window_docs``, so every
+    window-relative block payload keeps its bytes and only ``win``
+    shifts (gaps in doc-number space are harmless: postings only ever name
+    real documents)."""
+    if not index_dirs:
+        raise ValueError("needs at least one member index")
+    members = [_member(d) for d in index_dirs]
+    c0 = members[0].cfg
+    for m in members[1:]:
+        if m.cfg.bm25 != c0.bm25:
+            raise ValueError(
+                f"members disagree on bm25/tokenizer config: "
+                f"{members[0].dir} vs {m.dir}"
+            )
+        if m.cfg.window_docs != c0.window_docs:
+            raise ValueError(
+                f"members disagree on window_docs: {members[0].dir} vs {m.dir}"
+            )
+    if key is not None:
+        members.sort(key=key)
+    W, base, out = c0.window_docs, 0, []
+    for m in members:
+        span = max(
+            (int(s["doc_max"]) + 1 for s in m.report.get("part_summaries", [])),
+            default=0,
+        )
+        out.append(replace(m, doc_offset=base, doc_span=-(-span // W) * W))
+        base += out[-1].doc_span
+    return out
 
 
 def _conv_range(d: str) -> Tuple[Optional[str], Optional[str]]:
@@ -110,24 +169,6 @@ def _conv_range(d: str) -> Tuple[Optional[str], Optional[str]]:
         hi = str(tail.column("conv_id")[tail.num_rows - 1])
         break
     return lo, hi
-
-
-def _validate_members(metas: List[Dict]) -> None:
-    """Members must score alike (every BM25Config field) and share the
-    block layout the renumbering keeps."""
-    c0 = metas[0]["cfg"]
-    for m in metas[1:]:
-        c = m["cfg"]
-        if c.bm25 != c0.bm25:
-            raise ValueError(
-                f"merge members disagree on bm25/tokenizer config: "
-                f"{metas[0]['dir']} vs {m['dir']}"
-            )
-        if (c.window_docs, c.store_positions) != (c0.window_docs, c0.store_positions):
-            raise ValueError(
-                f"merge members disagree on window_docs/store_positions: "
-                f"{metas[0]['dir']} vs {m['dir']}"
-            )
 
 
 def _shift_doc_num(src: str, dst: str, off: int) -> np.ndarray:
@@ -194,39 +235,31 @@ def _rebucket_vocab_partials(
     return pa.table({k: [v] for k, v in metrics.items()})
 
 
-def _merge_conv_map(metas: List[Dict], offsets: List[int], out_dir: str) -> None:
+def _merge_conv_map(members: List[Member], out_dir: str) -> None:
     """Member conv-map files → output conv_map with conv_offset += member
     doc offset.  Members arrive pre-sorted by conversation range, so naming
     files m{member}-{rank} preserves BOTH ConvMapHandle orderings."""
     cdir = os.path.join(out_dir, "conv_map")
     os.makedirs(cdir, exist_ok=True)
     man = Manifest(out_dir, "merge_conv_map")
-    # clear stale map files not produced by THIS member set (ConvMapHandle
-    # reads the whole directory)
-    expected: set = set()
-    for i, m in enumerate(metas):
-        src_dir = os.path.join(m["dir"], "conv_map")
-        srcs = sorted(
-            f for f in os.listdir(src_dir) if f.endswith(".parquet")
-        )
-        for j in range(len(srcs)):
-            expected.add(f"conv-map-m{i:03d}-{j:05d}.parquet")
-    for f in os.listdir(cdir):
-        if f.endswith(".parquet") and f not in expected:
-            os.remove(os.path.join(cdir, f))
-
     specs = []
-    for i, m in enumerate(metas):
-        src_dir = os.path.join(m["dir"], "conv_map")
+    for i, m in enumerate(members):
+        src_dir = os.path.join(m.dir, "conv_map")
         srcs = sorted(
             os.path.join(src_dir, f)
             for f in os.listdir(src_dir)
             if f.endswith(".parquet")
         )
         for j, src in enumerate(srcs):
-            specs.append({"src": src, "off": offsets[i],
+            specs.append({"src": src, "off": m.doc_offset,
                           "dst": os.path.join(cdir, f"conv-map-m{i:03d}-{j:05d}.parquet"),
                           "key": f"m{i:03d}-{j:05d}"})
+    # clear stale map files not produced by THIS member set (ConvMapHandle
+    # reads the whole directory)
+    expected = {os.path.basename(sp["dst"]) for sp in specs}
+    for f in os.listdir(cdir):
+        if f.endswith(".parquet") and f not in expected:
+            os.remove(os.path.join(cdir, f))
 
     def run(row: Dict) -> pa.Table:
         key, src, dst, off = row["key"], row["src"], row["dst"], int(row["off"])
@@ -290,35 +323,33 @@ def merge_indexes(
         raise ValueError("merge_indexes needs at least one member index")
     if os.path.abspath(out_dir) in {os.path.abspath(d) for d in index_dirs}:
         raise ValueError("out_dir must differ from every member index dir")
-    metas = [_member_meta(d) for d in index_dirs]
-    _validate_members(metas)
-
-    # order members by conversation range; ranges must be disjoint
-    ranges = [_conv_range(m["dir"]) for m in metas]
-    order = sorted(
-        range(len(metas)),
-        key=lambda i: ("" if ranges[i][0] is None else ranges[i][0]),
-    )
-    metas = [metas[i] for i in order]
-    ranges = [ranges[i] for i in order]
+    # members in conversation order; ranges must be disjoint
+    members = read_members(index_dirs, key=lambda m: _conv_range(m.dir)[0] or "")
+    for m in members[1:]:
+        if m.cfg.store_positions != members[0].cfg.store_positions:
+            raise ValueError(
+                f"merge members disagree on store_positions: "
+                f"{members[0].dir} vs {m.dir}"
+            )
+    ranges = [_conv_range(m.dir) for m in members]
     for a, b_ in zip(ranges, ranges[1:]):
         if a[1] is not None and b_[0] is not None and not (a[1] < b_[0]):
             raise ValueError(
                 f"member conversation ranges overlap ({a[1]!r} vs {b_[0]!r}); "
                 "merged doc numbering is undefined — deduplicate conversations "
-                "or use FederatedEngine"
+                "or query the members as one multi-index QueryEngine"
             )
 
     # every member must be a FULL build artifact — in particular carry its
     # raw postings files (pre-fix merged indexes were blocks-only; failing
     # HERE with a named member beats a FileNotFoundError mid-merge after
     # some parts were already written)
-    for m in metas:
-        for p in m["report"]["parts"]:
-            fp = os.path.join(m["dir"], "postings", f"postings-{int(p):05d}.parquet")
+    for m in members:
+        for p in m.report["parts"]:
+            fp = os.path.join(m.dir, "postings", f"postings-{int(p):05d}.parquet")
             if not os.path.exists(fp):
                 raise ValueError(
-                    f"merge member {m['dir']} is missing raw postings file "
+                    f"merge member {m.dir} is missing raw postings file "
                     f"{fp}; members must be full build artifacts (a merged "
                     "index produced before postings carry-over must be "
                     "re-merged from its original members)"
@@ -327,25 +358,11 @@ def merge_indexes(
     # the merged index is built with the first member's config (they agree
     # on everything the renumbered parts depend on) and the output's buckets
     if vocab_buckets is None:
-        vocab_buckets = max(m["cfg"].vocab_buckets for m in metas)
-    merged_cfg = replace(metas[0]["cfg"], vocab_buckets=int(vocab_buckets))
-    W = merged_cfg.window_docs
+        vocab_buckets = max(m.cfg.vocab_buckets for m in members)
+    merged_cfg = replace(members[0].cfg, vocab_buckets=int(vocab_buckets))
 
-    # per-member doc offsets, each a multiple of window_docs so every
-    # window-relative block payload encodes the same (gaps in doc-number
-    # space are harmless: postings only ever name real documents)
-    offsets: List[int] = []
-    base = 0
-    for m in metas:
-        offsets.append(base)
-        span = max(
-            (int(s["doc_max"]) + 1 for s in m["report"].get("part_summaries", [])),
-            default=0,
-        )
-        base += -(-span // W) * W  # ceil to window multiple
-
-    n_docs = sum(int(m["stats"]["N"]) for m in metas)
-    total_dl = sum(int(m["stats"]["total_dl"]) for m in metas)
+    n_docs = sum(int(m.stats["N"]) for m in members)
+    total_dl = sum(int(m.stats["total_dl"]) for m in members)
 
     for name in ("docs", "dls", "postings", "blocks", "conv_map", "vocab", "vocab_partials"):
         os.makedirs(os.path.join(out_dir, name), exist_ok=True)
@@ -354,11 +371,11 @@ def merge_indexes(
     # ---- parts: one task per member part, renumbered sequentially
     specs = []
     dst = 0
-    for i, m in enumerate(metas):
-        for p in m["report"]["parts"]:
+    for m in members:
+        for p in m.report["parts"]:
             specs.append({
-                "member_dir": m["dir"], "src_part_id": int(p),
-                "dst_part_id": dst, "doc_offset": offsets[i],
+                "member_dir": m.dir, "src_part_id": int(p),
+                "dst_part_id": dst, "doc_offset": m.doc_offset,
             })
             dst += 1
     _gc_stale_merge_parts(out_dir, len(specs))
@@ -374,14 +391,14 @@ def merge_indexes(
     # per-bucket layout, a plain build's) would silently pollute the merged
     # df/cf sums.  Member i's partials file is m{i}.parquet.
     pdir = os.path.join(out_dir, "vocab_partials")
-    expected = {f"m{i:03d}.parquet" for i in range(len(metas))}
+    expected = {f"m{i:03d}.parquet" for i in range(len(members))}
     for f in os.listdir(pdir):
         if f.endswith(".parquet") and f not in expected:
             os.remove(os.path.join(pdir, f))
 
     vspecs = []
-    for i, m in enumerate(metas):
-        vdir = os.path.join(m["dir"], "vocab")
+    for i, m in enumerate(members):
+        vdir = os.path.join(m.dir, "vocab")
         vspecs.append({
             "member_idx": i,
             "src_files": [
@@ -399,15 +416,13 @@ def merge_indexes(
     t_blocks = time.time()
 
     # ---- conv map
-    _merge_conv_map(metas, offsets, out_dir)
-    crc_src = ";".join(
-        f"{m['dir']}:{offsets[i]}" for i, m in enumerate(metas)
-    )
+    _merge_conv_map(members, out_dir)
+    crc_src = ";".join(f"{m.dir}:{m.doc_offset}" for m in members)
     atomic_write_json(
         os.path.join(out_dir, "conv_map", "_DONE.json"),
         {
-            "merged_from": [m["dir"] for m in metas],
-            "n_docs_spanned": int(base),
+            "merged_from": [m.dir for m in members],
+            "n_docs_spanned": members[-1].doc_offset + members[-1].doc_span,
             "content_crc": zlib.crc32(crc_src.encode()),
             "input_sig": {"merge": crc_src},
         },
@@ -419,14 +434,14 @@ def merge_indexes(
         from oboyu_ray.state.fuzzy_index import SIDECAR_DIR
 
         build_sidecar = all(
-            os.path.exists(os.path.join(m["dir"], SIDECAR_DIR, "manifest.json"))
-            for m in metas
+            os.path.exists(os.path.join(m.dir, SIDECAR_DIR, "manifest.json"))
+            for m in members
         )
     if build_sidecar:
         from oboyu_ray.state.fuzzy_index import build_fuzzy_sidecar, open_sidecar
 
         max_edits = 1
-        scs = [open_sidecar(m["dir"]) for m in metas]
+        scs = [open_sidecar(m.dir) for m in members]
         if any(scs):
             max_edits = max(sc.max_edits for sc in scs if sc)
         build_fuzzy_sidecar(out_dir, max_edits=max_edits)
@@ -441,9 +456,8 @@ def merge_indexes(
         "stats": stats,
         "config": asdict(merged_cfg),
         "merged_from": [
-            {"dir": m["dir"], "doc_offset": offsets[i],
-             "n_docs": int(m["stats"]["N"])}
-            for i, m in enumerate(metas)
+            {"dir": m.dir, "doc_offset": m.doc_offset, "n_docs": int(m.stats["N"])}
+            for m in members
         ],
         "timings_sec": {
             "parts": round(t_parts - t0, 3),

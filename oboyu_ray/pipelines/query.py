@@ -29,7 +29,6 @@ the row groups that cover them.
 from __future__ import annotations
 
 import bisect
-import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from oboyu_ray.config import BM25Config, BuildConfig
+from oboyu_ray.config import BM25Config
 from oboyu_ray.stages.postings import get_tokenizer
 from oboyu_ray.stages.stats import idf
 from oboyu_ray.state.shards import IndexShard, _merge_topk_multi
@@ -414,6 +413,71 @@ class ConvResolver:
         return self._handle.resolve(np.asarray(doc_nums, dtype=np.int64))
 
 
+class VocabUnion:
+    """The vocabulary of a multi-index engine: every lookup runs on each
+    member's ``VocabLookup`` (fuzzy through that member's own sidecar,
+    when it has one) and df sums per term — members hold disjoint docs, so
+    the sums are the df of one index over all of them.  An expansion's
+    ``max_terms`` bounds the union."""
+
+    def __init__(self, vocabs: List[VocabLookup]) -> None:
+        self.vocabs = vocabs
+
+    def df(self, terms: Sequence[str]) -> Dict[str, int]:
+        out = dict.fromkeys(terms, 0)
+        for v in self.vocabs:
+            for t, d in v.df(terms).items():
+                out[t] += int(d)
+        return out
+
+    def _expand(self, what: str, key: str, max_terms: int, lookup) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for v in self.vocabs:
+            for t, d in lookup(v).items():
+                out[t] = out.get(t, 0) + int(d)
+        if len(out) > max_terms:
+            raise ValueError(
+                f"{what} {key!r} expands to >{max_terms} terms across the "
+                "member indexes; raise max_terms"
+            )
+        return out
+
+    def df_prefix(self, prefix: str, max_terms: int = 1000) -> Dict[str, int]:
+        return self._expand("prefix", prefix, max_terms,
+                            lambda v: v.df_prefix(prefix, max_terms=max_terms))
+
+    def df_regex(self, pattern: str, max_terms: int = 1000, parallel: bool = True,
+                 literal_prefix: str = "") -> Dict[str, int]:
+        return self._expand("regex", pattern, max_terms, lambda v: v.df_regex(
+            pattern, max_terms=max_terms, parallel=parallel,
+            literal_prefix=literal_prefix))
+
+    def df_fuzzy(self, term: str, max_edits: int = 1, max_terms: int = 1000,
+                 parallel: bool = True) -> Dict[str, int]:
+        return self._expand("fuzzy", term, max_terms, lambda v: v.df_fuzzy(
+            term, max_edits=max_edits, max_terms=max_terms, parallel=parallel))
+
+
+class MemberResolver:
+    """doc_num → (conv_id, turn_idx) of a multi-index engine: each doc
+    number routes, by one searchsorted over the member offsets, to the
+    member that owns it and resolves there less the member's offset."""
+
+    def __init__(self, resolvers: List[ConvResolver], offsets: List[int]) -> None:
+        self._resolvers = resolvers
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+
+    def resolve(self, doc_nums: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        docs = np.asarray(doc_nums, dtype=np.int64)
+        owner = np.searchsorted(self._offsets, docs, side="right") - 1
+        conv = np.empty(len(docs), dtype=object)
+        turn = np.zeros(len(docs), dtype=np.int64)
+        for i in np.unique(owner).tolist():
+            sel = owner == i
+            conv[sel], turn[sel] = self._resolvers[i].resolve(docs[sel] - self._offsets[i])
+        return conv, turn
+
+
 # shard fan-out width above which the driver stops merging every shard's
 # top-k itself and interposes aggregator actors (two-level merge, DESIGN §5:
 # per-node aggregator over its shards, driver over aggregators)
@@ -506,33 +570,42 @@ class QueryEngine:
 
     def __init__(
         self,
-        index_dir: str,
+        index_dir: "str | Sequence[str]",
         num_shards: Optional[int] = None,
         cfg: Optional[BM25Config] = None,
         conv_inmem_limit: Optional[int] = None,
         merge_fanout: int = MERGE_FANOUT,
-        stats_override: Optional[Dict] = None,
     ) -> None:
-        """``stats_override``: replace this index's global statistics
-        (N / total_dl / avgdl) with externally merged ones — the federated
-        multi-index path.  Shards then receive BOTH the query avgdl and the
-        build avgdl so the stored block-max bounds rescale soundly (see
-        IndexShard.configure)."""
-        self.index_dir = index_dir
-        self._conv_inmem_limit = conv_inmem_limit
+        """``index_dir``: one index, or a list of member indexes served as
+        ONE logical index by one shard pool (``merge_index.read_members``:
+        members agree on ``BM25Config`` and ``window_docs``; member i's doc
+        numbers shift by the window-rounded doc spans of the members before
+        it, the numbering ``merge_indexes`` writes).  N, total_dl and df add
+        across members, so every mode scores as on one index over the
+        concatenated corpus.  ``num_shards`` is per member.  Every refusal
+        comes before any index data is opened or any actor spawns."""
+        from oboyu_ray.pipelines.merge_index import read_members
+
+        dirs = [index_dir] if isinstance(index_dir, (str, os.PathLike)) else index_dir
+        self.members = read_members([os.fspath(d) for d in dirs])
         self._merge_fanout = max(1, merge_fanout)
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            self.stats = json.load(f)
-        self.build_avgdl = float(self.stats["avgdl"]) or 1.0
-        if stats_override is not None:
-            self.stats = {**self.stats, **stats_override}
-        with open(os.path.join(index_dir, "build_report.json")) as f:
-            self.report = json.load(f)
+        # a single index keeps its own dir, report, stats and build avgdl; a
+        # multi-index engine has its summed statistics and its members'
+        if len(self.members) == 1:
+            m = self.members[0]
+            self.index_dir, self.report, self.stats = m.dir, m.report, m.stats
+            self.build_avgdl = m.build_avgdl
+        else:
+            self.index_dir = self.report = self.build_avgdl = None
+            n = sum(int(m.stats["N"]) for m in self.members)
+            total_dl = sum(int(m.stats["total_dl"]) for m in self.members)
+            self.stats = {"N": n, "total_dl": total_dl,
+                          "avgdl": (total_dl / n) if n else 0.0}
         # query-time tokenization must match the INDEX's tokenizer settings
         # (the reference builds its query tokenizer identically to its index
         # tokenizer, service_registry.py:75-80): the build report's config
         # unless the caller overrides it
-        built = BuildConfig.from_report(self.report.get("config", {}))
+        built = self.members[0].cfg
         self.k1, self.b = float(built.bm25.k1), float(built.bm25.b)
         if cfg is not None and (cfg.k1, cfg.b) != (self.k1, self.b):
             # k1/b are baked into the stored block-max bounds; querying with
@@ -544,25 +617,52 @@ class QueryEngine:
             )
         self.cfg = cfg or built.bm25
         self.window_docs = built.window_docs
-        self.vocab = VocabLookup(os.path.join(index_dir, "vocab"))
-        self.resolver = ConvResolver(index_dir, conv_inmem_limit=self._conv_inmem_limit)
-        self.tokenizer = get_tokenizer(self.cfg)
-        self._exp_cache: Dict[Tuple[str, str], tuple] = {}  # see _expansion
 
-        parts = [int(p) for p in self.report["parts"]]
         if num_shards is None:
             avail = int(ray.available_resources().get("CPU", 4))
-            num_shards = max(1, min(len(parts), avail))
-        assign: List[List[int]] = [parts[i::num_shards] for i in range(num_shards)]
-        self._assign = [a for a in assign if a]
+            num_shards = max(1, avail // len(self.members))
+        # per member, its parts dealt round-robin over min(num_shards,
+        # parts) shards; a part travels as (dir, part, doc offset, build avgdl)
+        self._assign: List[list] = []
+        for m in self.members:
+            specs = [(m.dir, int(p), m.doc_offset, m.build_avgdl)
+                     for p in m.report["parts"]]
+            self._assign += [specs[i::num_shards]
+                             for i in range(min(num_shards, len(specs)))]
         # each shard holds one CPU: a pool wider than the CLUSTER could never
         # finish spawning (a merely busy cluster still waits, as it should)
         total_cpus = int(ray.cluster_resources().get("CPU", 0))
         if len(self._assign) > total_cpus:
             raise ValueError(
                 f"{len(self._assign)} shards need {len(self._assign)} CPUs but "
-                f"the cluster has {total_cpus}; pass num_shards <= {total_cpus}"
+                f"the cluster has {total_cpus}; pass num_shards <= "
+                f"{total_cpus // len(self.members)} (per member index)"
             )
+
+        vocabs = [VocabLookup(os.path.join(m.dir, "vocab")) for m in self.members]
+        resolvers = [ConvResolver(m.dir, conv_inmem_limit=conv_inmem_limit)
+                     for m in self.members]
+        if len(self.members) == 1:
+            self.vocab, self.resolver = vocabs[0], resolvers[0]
+        else:
+            self.vocab = VocabUnion(vocabs)
+            self.resolver = MemberResolver(
+                resolvers, [m.doc_offset for m in self.members])
+        # hydration routing: every non-empty part's [doc_min, doc_max] in
+        # engine doc numbers, sorted, with its docs file and member offset
+        parts = sorted(
+            (int(s["doc_min"]) + m.doc_offset, int(s["doc_max"]) + m.doc_offset,
+             m.doc_offset,
+             os.path.join(m.dir, "docs", f"docs-{int(s['part_id']):05d}.parquet"))
+            for m in self.members for s in m.report.get("part_summaries", [])
+            if int(s["doc_max"]) >= int(s["doc_min"])
+        )
+        self._part_lo = np.array([p[0] for p in parts], dtype=np.int64)
+        self._part_hi = np.array([p[1] for p in parts], dtype=np.int64)
+        self._part_docs = [(p[3], p[2]) for p in parts]
+        self.tokenizer = get_tokenizer(self.cfg)
+        self._exp_cache: Dict[Tuple[str, str], tuple] = {}  # see _expansion
+
         self.actors: List = []
         self.aggregators: List = []
         self._pool_epoch = 0
@@ -580,14 +680,12 @@ class QueryEngine:
                 pass
         Shard = ray.remote(IndexShard)
         self.actors = [
-            Shard.options(num_cpus=1).remote(self.index_dir, a, self.window_docs)
+            Shard.options(num_cpus=1).remote(None, a, self.window_docs)
             for a in self._assign
         ]
+        # each part rescales its stored bounds from its member's build avgdl
         avgdl = float(self.stats["avgdl"]) or 1.0
-        ray.get([
-            a.configure.remote(self.k1, self.b, avgdl, build_avgdl=self.build_avgdl)
-            for a in self.actors
-        ])
+        ray.get([a.configure.remote(self.k1, self.b, avgdl) for a in self.actors])
 
         # two-level merge beyond the fan-out width: ~sqrt-sized groups of
         # shards behind aggregator actors (num_cpus=0 — they only wait+merge)
@@ -1443,34 +1541,30 @@ class QueryEngine:
 
     def _hydrate(self, out: pd.DataFrame) -> pd.DataFrame:
         """Attach turn text via point lookups on the partitioned docs parquet
-        (only the top-k ids are read — row-group predicate pushdown).  A
-        top-k usually spreads across several parts; the per-part filtered
-        reads fan out as num_cpus=0 Ray tasks (zero-CPU so they schedule
-        under a full-width actor pool — see the fuzzy-sweep precedent) and
-        run concurrently instead of serially on the driver — at 1000 parts
-        the serial version paid k sequential parquet opens per query."""
-        texts: Dict[int, str] = {}
-        doc_nums = out["doc_num"].tolist()
+        (only the top-k ids are read — row-group predicate pushdown).  One
+        searchsorted over the parts' doc_min routes each doc to its part
+        (docs files hold member-local doc numbers, so a member part reads
+        its ids less the member offset).  A top-k usually spreads across
+        several parts; the per-part filtered reads fan out as num_cpus=0
+        Ray tasks (zero-CPU so they schedule under a full-width actor pool
+        — see the fuzzy-sweep precedent) and run concurrently instead of
+        serially on the driver."""
+        docs = out["doc_num"].to_numpy(dtype=np.int64)
+        part = np.searchsorted(self._part_lo, docs, side="right") - 1
+        inside = part >= 0
+        inside[inside] = docs[inside] <= self._part_hi[part[inside]]
         jobs = []
-        for s in self.report.get("part_summaries", []):
-            lo, hi = s["doc_min"], s["doc_max"]
-            wanted = [d for d in doc_nums if lo <= d <= hi]
-            if wanted:
-                jobs.append((
-                    os.path.join(self.index_dir, "docs",
-                                 f"docs-{int(s['part_id']):05d}.parquet"),
-                    wanted,
-                ))
+        for p in np.unique(part[inside]).tolist():
+            path, off = self._part_docs[p]
+            jobs.append((path, (docs[inside & (part == p)] - off).tolist(), off))
         if len(jobs) > 1:
-            for nums, txts in ray.get(
-                [_read_doc_texts.remote(p, w) for p, w in jobs]
-            ):
-                texts.update(zip(nums, txts))
-        elif jobs:
-            nums, txts = _read_doc_texts_local(*jobs[0])
-            texts.update(zip(nums, txts))
-        out = out.assign(text=[texts.get(d) for d in doc_nums])
-        return out
+            got = ray.get([_read_doc_texts.remote(path, w) for path, w, _ in jobs])
+        else:
+            got = [_read_doc_texts_local(path, w) for path, w, _ in jobs]
+        texts: Dict[int, str] = {}
+        for (_, _, off), (nums, txts) in zip(jobs, got):
+            texts.update(zip((n + off for n in nums), txts))
+        return out.assign(text=[texts.get(d) for d in docs.tolist()])
 
     def query_stats(self, reset: bool = False) -> Dict[str, int]:
         """Aggregate per-shard scan telemetry (windows scanned/pruned,

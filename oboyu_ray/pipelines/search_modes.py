@@ -2,11 +2,13 @@
 
 Each row of ``MODES`` names the engine method that answers a mode, how the
 mode's value maps to that method's arguments, whether the mode needs the
-query text, which modifiers it honours (alone and under ``--federate``)
-and how each surface spells it.  Both surfaces do the same three steps:
-build a ``Request`` (``cli_request`` / ``mcp_request``), refuse it with
-``validate`` before any file is read or any engine is started, and answer
-it with ``run`` — the only place that calls an engine retrieval method.
+query text, which modifiers it honours and how each surface spells it.
+Both surfaces do the same three steps: build a ``Request``
+(``cli_request`` / ``mcp_request``), refuse it with ``validate`` before
+any file is read or any engine is started, and answer it with ``run`` —
+the only place that calls an engine retrieval method.  A ``--federate``
+request runs the same row on an engine over several member indexes, so
+every mode and modifier is served there too.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class Mode:
     mcp: Optional[str]  # MCP key; None where MCP lacks the mode
     needs_q: bool = True
     honours: frozenset = _BASE
-    federate: Optional[frozenset] = None  # honoured under --federate; None = refused
     resolve: bool = True  # the method takes resolve= (its resolution is optional)
     terms: int = 0  # exact number of query terms the mode takes (0 = any)
     cli_file: bool = False  # the CLI value names a JSON file holding the value
@@ -60,8 +61,7 @@ class Mode:
 
 MODES = (
     Mode("plain", "search", _q, None, None, resolve=False,
-         honours=_BASE | {"exclude", "require_all", *PLAIN_ONLY},
-         federate=frozenset({"exclude", "require_all", "count", "hydrate"})),
+         honours=_BASE | {"exclude", "require_all", *PLAIN_ONLY}),
     Mode("phrase", "search_phrase", _q, "--phrase", "phrase", resolve=False),
     Mode("prefix", "search_prefix", _q, "--prefix", "prefix"),
     Mode("near", "search_near", lambda q, v: (tuple(q.split()), {"window": int(v)}),
@@ -69,7 +69,7 @@ MODES = (
     Mode("span_near", "search_span_near", lambda q, v: ((q,), {"window": int(v)}),
          "--span-near", "span_near", resolve=False),
     Mode("fuzzy", "search_fuzzy", lambda q, v: ((q,), {"max_edits": int(v)}),
-         "--fuzzy", "fuzzy", federate=frozenset()),
+         "--fuzzy", "fuzzy"),
     Mode("regex", "search_regex", _pattern, "--regex", "regex", needs_q=False),
     Mode("wildcard", "search_wildcard", _pattern, "--wildcard", "wildcard",
          needs_q=False),
@@ -180,8 +180,7 @@ def _names(req: Request) -> Dict[str, Optional[str]]:
 
 def _plain_only(req: Request, key: str, on: list, n: Dict) -> None:
     clash = [n[c] for c in PLAIN_ONLY[key] if getattr(req, c)]
-    federated = req.federate and key not in PLAIN.federate
-    if getattr(req, key) and (on or clash or federated):
+    if getattr(req, key) and (on or clash):
         raise ValueError(
             f"{n[key]} is only supported in plain search mode"
             + (f", not with {', '.join(clash)}" if clash else "")
@@ -207,8 +206,8 @@ def _scope(req: Request) -> Optional[Tuple[int, int]]:
 def validate(req: Request) -> None:
     """Raise ValueError for a request the surfaces refuse, naming each flag
     as the caller spells it.  Checks run in order: query text, page,
-    collapse, one mode, modifiers the mode would drop, federation, count,
-    then the form of the scope, of the query and of the mode's value."""
+    collapse, one mode, modifiers the mode would drop, count, then the
+    form of the scope, of the query and of the mode's value."""
     n = _names(req)
     on = [m for m in MODES if m.name in req.modes]
     mode = on[0] if on else PLAIN
@@ -229,17 +228,6 @@ def validate(req: Request) -> None:
         raise ValueError(
             f"{', '.join(dropped)} is not supported with {n[mode.name]}"
         )
-    if req.federate:
-        fed = mode.federate or frozenset()
-        bad = [] if mode.federate is not None else [n[mode.name]]
-        bad += [n[key] for key in SPELLING if key in PLAIN.honours
-                and getattr(req, key) and key not in fed]
-        if bad:
-            federated_mode = on and mode.federate is not None
-            with_mode = f" with {n[mode.name]}" if federated_mode else ""
-            raise ValueError(
-                f"{n['federate']} does not support: {', '.join(bad)}{with_mode}"
-            )
     _plain_only(req, "count", on, n)
     _scope(req)
     if mode.terms and len((req.q or "").split()) != mode.terms:
@@ -254,16 +242,13 @@ def run(engine, req: Request):
     """Answer a validated request with its one engine call: a result frame,
     or the matching-document count under ``count``."""
     mode = next((m for m in MODES if m.name in req.modes), PLAIN)
-    honours = mode.federate if req.federate else mode.honours
     kw = {key: getattr(req, key) for key in ("require_all", "exclude")
-          if key in honours}
-    if "scope" in honours:
-        kw["scope"] = _scope(req)
+          if key in mode.honours}
+    kw["scope"] = _scope(req)
     if req.count:
         return int(engine.count_matches(req.q, **kw))
-    if "hydrate" in honours:
-        kw["hydrate"] = req.hydrate
-    if mode.resolve and not req.federate:
+    kw["hydrate"] = req.hydrate
+    if mode.resolve:
         kw["resolve"] = True
     args, extra = mode.call(req.q, req.modes.get(mode.name))
     method = mode.method

@@ -82,7 +82,8 @@ class _PartIndex:
                  "row_starts", "window_docs", "dl_arr", "dl_base",
                  "wdc_base", "window_doc_counts",
                  "has_positions", "pos_off", "pos_buf",
-                 "uniq_terms", "uniq_starts")
+                 "uniq_terms", "uniq_starts",
+                 "build_avgdl", "bscale_hi", "bscale_lo")
 
     @staticmethod
     def _binary_views(col):
@@ -107,14 +108,28 @@ class _PartIndex:
         )
         return arr, off, data
 
-    def __init__(self, index_dir: str, part_id: int, window_docs: int) -> None:
+    def __init__(self, index_dir: str, part_id: int, window_docs: int,
+                 doc_offset: int = 0, build_avgdl: float = 0.0) -> None:
+        """``doc_offset`` shifts the part's doc numbers (a member part of a
+        multi-index engine).  It must be a multiple of ``window_docs``:
+        block payloads are window-relative, so only ``win`` and the dl and
+        window-count bases move.  ``build_avgdl`` is the avgdl the part's
+        stored bounds were computed with (0: the shard's, see
+        ``IndexShard.configure``)."""
+        if doc_offset % window_docs:
+            raise ValueError(f"doc_offset {doc_offset} is not a multiple of "
+                             f"window_docs {window_docs}")
+        self.build_avgdl = build_avgdl
+        # block-bound rescale for a query avgdl other than the build's (set
+        # by IndexShard.configure); 1.0 = bounds used as stored
+        self.bscale_hi = self.bscale_lo = 1.0
         blocks_path = os.path.join(index_dir, "blocks", f"blocks-{part_id:05d}.parquet")
         cols = ["term", "win", "n", "docs", "tfs", "max_tfnorm", "min_tfnorm"]
         self.has_positions = "pos" in pq.read_schema(blocks_path).names
         if self.has_positions:
             cols.append("pos")
         t = pq.read_table(blocks_path, columns=cols)
-        self.win = t.column("win").to_numpy().astype(np.int64)
+        self.win = t.column("win").to_numpy().astype(np.int64) + doc_offset // window_docs
         self.n = t.column("n").to_numpy().astype(np.int64)
         _, self.docs_off, self.docs_buf = self._binary_views(t.column("docs"))
         _, self.tfs_off, self.tfs_buf = self._binary_views(t.column("tfs"))
@@ -135,7 +150,7 @@ class _PartIndex:
         # one 8-byte int per doc here replaces a varint per POSTING there)
         dls_path = os.path.join(index_dir, "dls", f"dls-{part_id:05d}.parquet")
         dt = pq.read_table(dls_path)
-        doc_nums = dt.column("doc_num").to_numpy().astype(np.int64)
+        doc_nums = dt.column("doc_num").to_numpy().astype(np.int64) + doc_offset
         dls = dt.column("dl").to_numpy().astype(np.float64)
         if len(doc_nums):
             self.dl_base = int(doc_nums.min())
@@ -366,17 +381,23 @@ class IndexShard:
     # slower at 50M docs with an 8M cap)
     DECODE_CACHE_POSTINGS = 32_000_000
 
-    def __init__(self, index_dir: str, part_ids: List[int], window_docs: int,
-                 cache_postings: Optional[int] = None) -> None:
+    def __init__(self, index_dir: Optional[str], part_ids: Sequence,
+                 window_docs: int, cache_postings: Optional[int] = None) -> None:
+        """``part_ids``: part ids of ``index_dir``, or ``(index_dir, part_id,
+        doc_offset, build_avgdl)`` specs of parts of any index sharing
+        ``window_docs`` (``_PartIndex``) — the member parts of a multi-index
+        engine, each at its member's doc offset."""
         # per-shard decode-cache budget override: deployments with few huge
         # shards (docs-per-shard ≫ the sandbox's ~3M) size this to keep a
         # working set of hot terms resident — ~16 B per posting
         if cache_postings is not None:
             self.DECODE_CACHE_POSTINGS = int(cache_postings)
         self.window_docs = window_docs
-        self.parts: List[_PartIndex] = []
-        for pid in part_ids:
-            self.parts.append(_PartIndex(index_dir, pid, window_docs))
+        self.parts: List[_PartIndex] = [
+            _PartIndex(p[0], p[1], window_docs, *p[2:])
+            if isinstance(p, (tuple, list)) else _PartIndex(index_dir, p, window_docs)
+            for p in part_ids
+        ]
         # BM25 parameters, set per index via configure(); defaults match
         # BM25Config
         self.k1, self.b, self.avgdl = 1.2, 0.75, 1.0
@@ -387,8 +408,6 @@ class IndexShard:
         # (part, ti0, ti1, weights_key) → per-unique-term weight array for
         # the range path; tiny (≤ a few k floats per entry), FIFO-bounded
         self._wuniq_cache: Dict[Tuple, np.ndarray] = {}
-        self._bscale_hi = 1.0  # block-bound rescale for avgdl overrides
-        self._bscale_lo = 1.0  # (see configure); 1.0 = bounds used as stored
         # per-shard scan telemetry (get_counters / reset_counters; the
         # engine sums these across actors — the observability surface the
         # manifests don't cover: what queries actually COST)
@@ -755,12 +774,12 @@ class IndexShard:
             # ~10x slower unbuffered ufunc.at (same fix as the dense path)
             iv = inv[pos : pos + m]
             if w > 0:
-                hi = (w * self._bscale_hi) * part.max_tfnorm[s:e]
+                hi = (w * part.bscale_hi) * part.max_tfnorm[s:e]
                 ub[iv] += hi
                 if want_max:
                     ubm[iv] = np.maximum(ubm[iv], hi)
             elif w < 0:
-                best_neg = (w * self._bscale_lo) * part.min_tfnorm[s:e]
+                best_neg = (w * part.bscale_lo) * part.min_tfnorm[s:e]
                 if want_max:
                     ubm[iv] = np.maximum(ubm[iv], best_neg)
                 if len(part.window_doc_counts):
@@ -1312,7 +1331,7 @@ class IndexShard:
         Returns None when the whole part is pruned (Σub < θ)."""
         ubs = np.array(
             [
-                (w * self._bscale_hi) * float(part.max_tfnorm[s:e].max())
+                (w * part.bscale_hi) * float(part.max_tfnorm[s:e].max())
                 if w > 0 else 0.0
                 for w, s, e in hits
             ]
@@ -1391,7 +1410,8 @@ class IndexShard:
         shape): (term, tf, dl, weight, contribution) for every query term
         present in the doc.  Empty when this shard doesn't own the doc.
         Decodes exactly one window block per matching term — point reads,
-        no scan."""
+        no scan.  Adjacent parts can share the doc's window, so every part
+        covering it is asked; only the owning part holds its postings."""
         W = self.window_docs
         doc_abs = int(doc_abs)
         win = doc_abs // W
@@ -1413,7 +1433,6 @@ class IndexShard:
                     out.append(
                         (t, int(tf[j]), int(dl[j]), float(w), float(w) * tfn)
                     )
-            return out
         return out
 
     def batch(self, method: str, calls, **kw):
@@ -1430,9 +1449,11 @@ class IndexShard:
     def configure(self, k1: float, b: float, avgdl: float,
                   build_avgdl: Optional[float] = None) -> None:
         """``build_avgdl``: the avgdl the on-disk block-max bounds were
-        computed with.  When the QUERY avgdl differs (federated search over
-        merged statistics), the stored per-block tfnorm bounds rescale by a
-        provably sound factor: for r = avgdl/build_avgdl,
+        computed with, for the parts that carry none of their own (a part of
+        a multi-index engine carries its member's).  When the QUERY avgdl
+        differs from a part's (a multi-index engine's summed statistics),
+        that part's stored per-block tfnorm bounds rescale by a provably
+        sound factor: for r = avgdl/build_avgdl,
         tfnorm(avgdl)/tfnorm(build_avgdl) ∈ [min(1, r), max(1, r)] for every
         (tf, dl) — the denominator D = tf + k1(1−b) + k1·b·dl/avg changes by
         at most the factor r in either direction — so stored max bounds ×
@@ -1442,14 +1463,14 @@ class IndexShard:
         self.k1 = k1
         self.b = b
         self.avgdl = avgdl
-        r = (avgdl / build_avgdl) if build_avgdl else 1.0
-        self._bscale_hi = max(1.0, r)
-        self._bscale_lo = min(1.0, r)
+        for part in self.parts:
+            base = part.build_avgdl or build_avgdl
+            r = (avgdl / base) if base else 1.0
+            part.bscale_hi, part.bscale_lo = max(1.0, r), min(1.0, r)
         self._cache.clear()
         self._cache_postings = 0
-        # weights can change with the engine's global stats (federated
-        # merged N) — a reconfigured actor must not serve stale range
-        # weight vectors
+        # weights can change with the engine's global stats — a
+        # reconfigured actor must not serve stale range weight vectors
         self._wuniq_cache.clear()
 
     def ping(self) -> bool:

@@ -374,28 +374,6 @@ def test_cli_explain_runs(built, capsys):
     assert "total_score" in capsys.readouterr().out
 
 
-def test_cli_federate_rejects_unsupported_flags(capsys):
-    """r5 ADVICE: --federate with --scope/--phrase/--near/--prefix (or
-    --hydrate combined with --fuzzy) must exit 2 with a clear message,
-    never silently answer a different query mode.  The rejection happens
-    before any engine is built, so no index is needed."""
-    import argparse
-
-    from oboyu_ray.cli import cmd_query
-
-    base = dict(index_dir="/nonexistent", federate="/other", q="x", k=5,
-                num_shards=2, hydrate=False, num_cpus=None)
-    for extra in (
-        {"scope": "0:5"}, {"phrase": True}, {"near": 3}, {"prefix": True},
-        {"fuzzy": 1, "hydrate": True}, {"regex": "tok.*"}, {"wildcard": "tok*"},
-        {"bool_expr": "a AND b"}, {"synonyms": "/tmp/nope.json"},
-    ):
-        rc = cmd_query(argparse.Namespace(**{**base, **extra}))
-        err = capsys.readouterr().err
-        assert rc == 2, extra
-        assert "does not support" in err, extra
-
-
 def test_cli_regex_wildcard_modes(built, engine, capsys):
     """`query --regex` / `--wildcard` work without --q; plain mode without
     --q exits 2; --page refuses pattern modes (the silently-dropped-flag
