@@ -649,14 +649,16 @@ class QueryEngine:
             self.resolver = MemberResolver(
                 resolvers, [m.doc_offset for m in self.members])
         # hydration routing: every non-empty part's [doc_min, doc_max] in
-        # engine doc numbers, sorted, with its docs file and member offset
-        parts = sorted(
+        # engine doc numbers, with its docs file and member offset.  Ranges
+        # of one index may overlap (input files that interleave
+        # conversations), so a doc routes to every part that covers it.
+        parts = [
             (int(s["doc_min"]) + m.doc_offset, int(s["doc_max"]) + m.doc_offset,
              m.doc_offset,
              os.path.join(m.dir, "docs", f"docs-{int(s['part_id']):05d}.parquet"))
             for m in self.members for s in m.report.get("part_summaries", [])
             if int(s["doc_max"]) >= int(s["doc_min"])
-        )
+        ]
         self._part_lo = np.array([p[0] for p in parts], dtype=np.int64)
         self._part_hi = np.array([p[1] for p in parts], dtype=np.int64)
         self._part_docs = [(p[3], p[2]) for p in parts]
@@ -1542,21 +1544,21 @@ class QueryEngine:
     def _hydrate(self, out: pd.DataFrame) -> pd.DataFrame:
         """Attach turn text via point lookups on the partitioned docs parquet
         (only the top-k ids are read — row-group predicate pushdown).  One
-        searchsorted over the parts' doc_min routes each doc to its part
-        (docs files hold member-local doc numbers, so a member part reads
-        its ids less the member offset).  A top-k usually spreads across
-        several parts; the per-part filtered reads fan out as num_cpus=0
-        Ray tasks (zero-CPU so they schedule under a full-width actor pool
-        — see the fuzzy-sweep precedent) and run concurrently instead of
-        serially on the driver."""
+        parts × k covering mask routes each doc to every part whose
+        [doc_min, doc_max] holds it — part ranges may overlap, and a part
+        that does not hold the doc reads nothing for it (docs files hold
+        member-local doc numbers, so a member part reads its ids less the
+        member offset).  A top-k usually spreads across several parts; the
+        per-part filtered reads fan out as num_cpus=0 Ray tasks (zero-CPU
+        so they schedule under a full-width actor pool — see the
+        fuzzy-sweep precedent) and run concurrently instead of serially on
+        the driver."""
         docs = out["doc_num"].to_numpy(dtype=np.int64)
-        part = np.searchsorted(self._part_lo, docs, side="right") - 1
-        inside = part >= 0
-        inside[inside] = docs[inside] <= self._part_hi[part[inside]]
+        cover = (self._part_lo[:, None] <= docs) & (docs <= self._part_hi[:, None])
         jobs = []
-        for p in np.unique(part[inside]).tolist():
+        for p in np.flatnonzero(cover.any(axis=1)).tolist():
             path, off = self._part_docs[p]
-            jobs.append((path, (docs[inside & (part == p)] - off).tolist(), off))
+            jobs.append((path, (docs[cover[p]] - off).tolist(), off))
         if len(jobs) > 1:
             got = ray.get([_read_doc_texts.remote(path, w) for path, w, _ in jobs])
         else:

@@ -389,3 +389,51 @@ def test_shard_parts_at_a_doc_offset_answer_shifted(built):
             same(got.query_phrase(phrase, pw, k, scope=(lo + shift, hi + shift)),
                  ref.query_phrase(phrase, pw, k, scope=(lo, hi)), ("phrase scope", k))
     assert got.counters["maxscore_parts"] > 0 and got.counters["windows_pruned"] > 0
+
+
+def test_hydrate_reads_every_part_covering_a_doc(tmp_path):
+    """Doc numbers follow one global conversation sort, while parts are
+    groups of input files.  Two files that interleave every conversation,
+    one file per part, give two parts whose [doc_min, doc_max] ranges
+    overlap almost entirely (one holds the even turns, the other the odd
+    ones).  Hydration must read every part that covers a doc, not only the
+    last one whose doc_min is at or below it."""
+    import datetime
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rows = {0: [], 1: []}
+    for ci in range(20):
+        for t in range(6):
+            rows[t % 2].append((f"c{ci:04d}", t, f"doc {ci} turn {t} 検索 word{ci % 5}",
+                                datetime.datetime(2025, 1, 1, 0, ci, t)))
+    files = []
+    for half, rs in rows.items():
+        path = str(tmp_path / f"half{half}.parquet")
+        pq.write_table(pa.table({
+            "conv_id": pa.array([r[0] for r in rs]),
+            "turn_idx": pa.array([r[1] for r in rs], type=pa.int32()),
+            "role": pa.array(["user"] * len(rs)),
+            "text": pa.array([r[2] for r in rs]),
+            "tool": pa.array([""] * len(rs)),
+            "ts": pa.array([r[3] for r in rs], type=pa.timestamp("us")),
+        }), path)
+        files.append(path)
+    index_dir = str(tmp_path / "idx")
+    report = build_index(files, index_dir, BuildConfig(window_docs=64), files_per_part=1)
+    spans = sorted((s["doc_min"], s["doc_max"]) for s in report["part_summaries"])
+    assert len(spans) == 2 and spans[1][0] <= spans[0][1], spans  # overlap
+
+    eng = QueryEngine(index_dir, num_shards=1)
+    try:
+        n = int(report["n_docs"])
+        got = eng._hydrate(pd.DataFrame({"doc_num": np.arange(n, dtype=np.int64)}))
+        assert got["text"].notna().all(), got[got["text"].isna()]
+        conv, turn = eng.resolver.resolve(np.arange(n, dtype=np.int64))
+        for c, t, text in zip(conv, turn.tolist(), got["text"]):
+            assert text.startswith(f"doc {int(c[1:])} turn {t} "), (c, t, text)
+        mlt = eng.more_like_this(2, k=5, min_df=1)
+        assert len(mlt) and 2 not in mlt["doc_num"].tolist()
+    finally:
+        eng.close()
