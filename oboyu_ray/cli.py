@@ -33,9 +33,28 @@ def _ensure_ray(num_cpus: int | None) -> None:
         ray.init(**kwargs)
 
 
+def build_settings(args: argparse.Namespace):
+    """``(BuildConfig, files_per_part)`` of a ``build`` invocation:
+    CLI > --config YAML > dataclass defaults (None = flag not provided)."""
+    from oboyu_ray.config_loader import ConfigManager
+
+    cm = ConfigManager(getattr(args, "config", None))
+    return cm.build_config(
+        build_overrides={
+            "files_per_part": getattr(args, "files_per_part", None),
+            "window_docs": getattr(args, "window_docs", None),
+            "vocab_buckets": getattr(args, "vocab_buckets", None),
+            "store_positions": getattr(args, "store_positions", None),
+        },
+        bm25_overrides={
+            "k1": getattr(args, "k1", None),
+            "b": getattr(args, "b", None),
+        },
+    )
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     _ensure_ray(args.num_cpus)
-    from oboyu_ray.config_loader import ConfigManager
     from oboyu_ray.pipelines.build_index import build_index
 
     in_format = getattr(args, "format", "parquet")  # absent on programmatic Namespaces
@@ -55,20 +74,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             os.path.join(args.index_dir, "converted_shards"),
             strict=not getattr(args, "lenient", False),
         )
-    # CLI > --config YAML > dataclass defaults (None = flag not provided)
-    cm = ConfigManager(getattr(args, "config", None))
-    cfg, files_per_part = cm.build_config(
-        build_overrides={
-            "files_per_part": getattr(args, "files_per_part", None),
-            "window_docs": getattr(args, "window_docs", None),
-            "vocab_buckets": getattr(args, "vocab_buckets", None),
-            "store_positions": getattr(args, "store_positions", None),
-        },
-        bm25_overrides={
-            "k1": getattr(args, "k1", None),
-            "b": getattr(args, "b", None),
-        },
-    )
+    cfg, files_per_part = build_settings(args)
     report = build_index(files, args.index_dir, cfg, files_per_part=files_per_part)
     print(json.dumps(report["timings_sec"] | {
         "n_docs": report["n_docs"],
@@ -234,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sectioned YAML config (build/bm25 sections); "
                         "precedence: CLI flags > file > defaults")
     b.add_argument("--files-per-part", type=int, default=None,
-                   help="input files per build partition; 0 (default) sizes "
-                        "automatically toward ~16 partitions per CPU")
+                   help="input files per build partition; 0 (default) packs "
+                        "consecutive files by input bytes (~2 MiB per "
+                        "partition, no fewer partitions than CPUs)")
     b.add_argument("--window-docs", type=int, default=None,
                    help="aligned posting-block width in docs (default 8192)")
     b.add_argument("--store-positions", action="store_true", default=None,

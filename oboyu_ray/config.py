@@ -21,11 +21,13 @@ tests/test_bm25_conformance.py.
 Scale knobs (ours; no reference equivalent — the reference is a
 single-process in-memory engine):
 
-* partitioning — the partition unit is the input file group
-  (``build_index(files_per_part=…)``); at 10^12 turns with ~256k turns per
-  file the build is ~4M independent partition tasks, and each partition's
-  postings stay partition-local (document-partitioned index → no all-to-all
-  shuffle of posting rows, see ``pipelines/build_index.py``).
+* partitioning — the partition unit is a run of consecutive input files;
+  by default ``build_index`` packs them by input bytes (~2 MiB per
+  partition, no fewer partitions than cluster CPUs), and
+  ``files_per_part >= 1`` fixes the files per partition instead.  Each
+  partition's postings stay partition-local (document-partitioned index
+  → no all-to-all shuffle of posting rows, see
+  ``pipelines/build_index.py``).
 * ``window_docs`` — width (in dense doc ordinals) of an aligned posting
   block/window.  All terms' blocks share window boundaries, which makes
   block-max pruning a vectorized per-window bound instead of per-cursor
@@ -59,8 +61,9 @@ class BM25Config:
 @dataclass(frozen=True)
 class BuildConfig:
     bm25: BM25Config = field(default_factory=BM25Config)
-    # the partition unit is the input FILE GROUP (build_index files_per_part
-    # — log-structured transcript stores control file sizing upstream);
+    # the partition unit is a run of consecutive input files, packed by
+    # input bytes (build_index files_per_part=0, PART_TARGET_BYTES) or a
+    # fixed number of files per partition (files_per_part >= 1);
     # a partition is the unit of checkpointing, resume and shard assignment;
     # each build phase is one Ray Data job whose tasks (one per cluster CPU)
     # run their partitions in turn

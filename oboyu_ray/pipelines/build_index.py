@@ -587,11 +587,47 @@ def _ingest_one_group(
     return pa.table({k: [v] for k, v in metrics.items()})
 
 
+# input bytes per partition when build_index packs files (files_per_part=0):
+# ~25k turns.  Building 1M turns in 130 files with Ray given 2 CPUs on a
+# 1-vCPU host, it was the only target of {2, 4, 8, 16, 32} MiB no slower
+# than one part per file; 16 and 32 MiB took 1.25x and 1.8x as long
+PART_TARGET_BYTES = 2 << 20
+
+
+def partition_groups(sizes: List[int], files_per_part: int, cpus: int) -> List[List[int]]:
+    """Input file indices of each partition: runs of consecutive whole
+    files, so conversation ranges stay disjoint.
+
+    ``files_per_part >= 1`` is a fixed stride.  ``0`` packs by input bytes
+    into n = max(min(#files, cpus), ceil(total / PART_TARGET_BYTES))
+    partitions: file i goes to ⌊(bytes before it + half its bytes) / w⌋
+    with w = min(PART_TARGET_BYTES, total / min(#files, cpus)), so w =
+    total / n when the CPU floor sets n (balanced partitions) and w is
+    the target when the target sets n (an append keeps every earlier
+    file's partition).  A file larger than w skips ids; the groups are
+    numbered densely, so such a layout has fewer than n partitions."""
+    if files_per_part < 0:
+        raise ValueError(f"files_per_part must be >= 0, got {files_per_part}")
+    n_files = len(sizes)
+    if files_per_part >= 1:
+        return [
+            list(range(s, min(s + files_per_part, n_files)))
+            for s in range(0, n_files, files_per_part)
+        ]
+    if n_files == 0:
+        return []
+    b = np.asarray(sizes, dtype=np.float64)
+    w = min(PART_TARGET_BYTES, b.sum() / min(n_files, cpus))
+    part = ((np.cumsum(b) - b / 2) // w).astype(np.int64)
+    cuts = np.flatnonzero(np.diff(part)) + 1
+    return [g.tolist() for g in np.split(np.arange(n_files), cuts)]
+
+
 def ingest(
     transcript_files: List[str],
     index_dir: str,
     cfg: BuildConfig,
-    files_per_part: int = 1,
+    groups: List[List[int]],
     conv_fp: int = 0,
     per_input_crc: Optional[Dict[str, int]] = None,
     conv_inmem_limit: int = CONV_INMEM_LIMIT,
@@ -600,23 +636,24 @@ def ingest(
 ) -> List[Dict]:
     """Phase 0: transcripts → doc-partitioned docs tables.
 
-    Partition = input file group (zero-shuffle path): assumes input files
-    hold contiguous conversation ranges, which log-structured transcript
-    stores do.  Partition doc ranges are validated for density below; badly
-    interleaved inputs should be pre-sorted once (documented assumption).
+    Partition i = the input files ``groups[i]`` (indices into
+    ``transcript_files``, see ``partition_groups``; zero-shuffle path):
+    assumes input files hold contiguous conversation ranges, which
+    log-structured transcript stores do.  Partition doc ranges are
+    validated for density below; badly interleaved inputs should be
+    pre-sorted once (documented assumption).
     """
     conv_offsets_ref = ray.put(ConvMapHandle(index_dir, inmem_limit=conv_inmem_limit))
     sig_map = files_sig(transcript_files, change_strategy, sig_cache)
-    groups = []
-    for i, s in enumerate(range(0, len(transcript_files), files_per_part)):
-        file_idx = list(range(s, min(s + files_per_part, len(transcript_files))))
+    specs = []
+    for i, file_idx in enumerate(groups):
         if per_input_crc is not None:
             # partition-local conv dependency (prefix-stable under edits)
             fp = zlib_crc_of([per_input_crc.get(str(j), 0) for j in file_idx])
         else:
             fp = conv_fp  # global fallback (shuffle path / legacy)
-        part_files = transcript_files[s : s + files_per_part]
-        groups.append(
+        part_files = [transcript_files[j] for j in file_idx]
+        specs.append(
             {
                 "part_id": i,
                 "files": part_files,
@@ -626,7 +663,7 @@ def ingest(
         )
 
     summaries = run_specs(
-        groups, lambda row: _ingest_one_group(row, conv_offsets_ref, index_dir, int(row["fp"]))
+        specs, lambda row: _ingest_one_group(row, conv_offsets_ref, index_dir, int(row["fp"]))
     )
     # sparsity sanity: window structures size O(doc range); warn when a
     # partition's doc range is far larger than its doc count
@@ -1113,7 +1150,7 @@ def build_index(
     transcript_files: List[str],
     index_dir: str,
     cfg: BuildConfig = DEFAULT_BUILD_CONFIG,
-    files_per_part: int = 1,
+    files_per_part: int = 0,
     conv_inmem_limit: int = CONV_INMEM_LIMIT,
     change_strategy: str = "timestamp",
 ) -> Dict[str, object]:
@@ -1126,19 +1163,14 @@ def build_index(
     "hash" (sha256 content — touch-without-change rebuilds nothing) or
     "smart" (hash under 10MB via a stat-keyed cache, timestamp above).
 
-    ``files_per_part=0`` sizes partitions automatically: group consecutive
-    files so the partition count lands near 16×CPUs (floor 64).  Measured
-    motivation (BASELINE): the same 10M-turn corpus builds at 194k turns/s
-    as 3,125 tiny partitions but 420k turns/s as 500 right-sized ones —
-    per-partition fixed cost dominates when shards are small, so badly
-    sharded input should never dictate the partition grid."""
+    ``files_per_part=0`` (the default, also the CLI's) packs consecutive
+    whole files into partitions by input bytes: ~PART_TARGET_BYTES each,
+    and no fewer partitions than the cluster has CPUs while there are
+    files to spread (``partition_groups``).  Per-partition fixed costs
+    dominate both the build and shard compute when partitions are small,
+    so upstream file sizing should not dictate the partition grid.
+    ``files_per_part >= 1`` groups that many files per partition."""
     os.makedirs(index_dir, exist_ok=True)
-    if files_per_part == 0:  # auto: ~16 partitions per CPU, floor 64
-        import ray as _ray
-
-        cpus = int(_ray.cluster_resources().get("CPU", 32)) if _ray.is_initialized() else 32
-        max_parts = max(64, cpus * 16)
-        files_per_part = max(1, -(-len(transcript_files) // max_parts))
     _dirs(index_dir)
     t0 = time.time()
 
@@ -1151,8 +1183,11 @@ def build_index(
     conv_info = build_conv_map(transcript_files, index_dir, change_strategy, sig_cache)
     t_conv = time.time()
 
+    groups = partition_groups(
+        [os.stat(f).st_size for f in transcript_files], files_per_part, _cluster_cpus()
+    )
     summaries = ingest(
-        transcript_files, index_dir, cfg, files_per_part,
+        transcript_files, index_dir, cfg, groups,
         conv_fp=int(conv_info.get("content_crc", 0)),
         per_input_crc=conv_info.get("per_input_crc"),
         conv_inmem_limit=conv_inmem_limit,

@@ -100,7 +100,7 @@ def index_directory(
     shards = corpus_to_transcripts(
         docs, os.path.join(index_dir, "corpus"), chunk_size, chunk_overlap
     )
-    return build_index(shards, index_dir, cfg, files_per_part=1)
+    return build_index(shards, index_dir, cfg)
 
 
 def open_search(index_dir: str, num_shards: Optional[int] = None) -> QueryEngine:

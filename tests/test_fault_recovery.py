@@ -27,7 +27,7 @@ def engine(tmp_path_factory):
     files = write_synth_transcripts(
         str(base / "in"), n_convs=300, seed=11, convs_per_file=50
     )
-    build_index(files, str(base / "idx"), BuildConfig(window_docs=256))
+    build_index(files, str(base / "idx"), BuildConfig(window_docs=256), files_per_part=1)
     # 4 shards on the 4-CPU test session; merge_fanout=1 forces the
     # aggregator tier so BOTH actor kinds are exercised
     eng = QueryEngine(str(base / "idx"), num_shards=4, merge_fanout=1)

@@ -133,13 +133,13 @@ def test_lenient_quarantines_bad_lines(tmp_path):
 
 
 def test_auto_files_per_part_groups_and_matches(tmp_path):
-    """files_per_part=0 groups tiny shards toward 16 parts/CPU and yields
-    rank-identical results to the ungrouped build."""
+    """files_per_part=0 packs tiny shards by input bytes (no fewer parts
+    than CPUs) and yields rank-identical results to the ungrouped build."""
     from oboyu_ray.sources.transcripts import write_synth_transcripts
 
     files = write_synth_transcripts(
         str(tmp_path / "tiny"), n_convs=400, seed=3, convs_per_file=5
-    )  # 80 tiny files; 4-CPU test session → max_parts 64 → stride 2
+    )  # 80 tiny files; 4-CPU test session → 4 parts
     cfg = BuildConfig(window_docs=256)
     ra = build_index(files, str(tmp_path / "auto"), cfg, files_per_part=0)
     rb = build_index(files, str(tmp_path / "one"), cfg, files_per_part=1)
